@@ -19,9 +19,9 @@ circle-of-neighbours count of `problems.vicinity_variations`.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -133,7 +133,12 @@ class CaputSpec:
         return {i: point_to_symbol(i) if i <= 26 else str(i) for i in sorted(self.head)}
 
 
-@lru_cache(maxsize=None)
+# D(0..) memoized bottom-up.  The table only grows, and the lock keeps
+# concurrent fills consistent.
+_dm_table: list[int] = [1, 0]
+_dm_lock = threading.Lock()
+
+
 def derangements(m: int) -> int:
     """D(m), permutations of m points with no fixed point.
 
@@ -142,11 +147,11 @@ def derangements(m: int) -> int:
     """
     if m < 0:
         raise InvariantViolationError("derangements are defined for m >= 0")
-    if m == 0:
-        return 1
-    if m == 1:
-        return 0
-    return (m - 1) * (derangements(m - 1) + derangements(m - 2))
+    with _dm_lock:
+        while len(_dm_table) <= m:
+            k = len(_dm_table)
+            _dm_table.append((k - 1) * (_dm_table[k - 1] + _dm_table[k - 2]))
+        return _dm_table[m]
 
 
 def derangements_by_inclusion_exclusion(m: int) -> int:

@@ -434,18 +434,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     command = " ".join(["combinatoria"] + argv)
+    # Counts are exact at any size, so their decimal strings may pass the
+    # interpreter's int-to-str digit limit.  Lift it only once argv is parsed;
+    # interpreters without the setter have no limit.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         result, header, rows, exit_code = args.handler(args)
     except CombinatoriaError as exc:
         print(f"combinatoria: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(render_json(command, result))
-    elif args.format == "csv":
-        print(render_csv(header, rows))
     else:
-        print(render_human(header, rows))
-    return exit_code
+        if args.format == "json":
+            print(render_json(command, result))
+        elif args.format == "csv":
+            print(render_csv(header, rows))
+        else:
+            print(render_human(header, rows))
+        return exit_code
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

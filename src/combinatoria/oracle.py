@@ -7,12 +7,13 @@ closed forms under test are reached through their modules (``partitions.X``,
 ``caput.Y``) so a corrupted implementation is seen by the checks.
 
 Speed is a non-goal; the enumerations are merely kept single-pass so the
-full sweep stays inside its time budget.
+full sweep stays inside its time budget.  Head counts are checked for every
+head subset at every degree, read off one census walk of S_n per degree.
 """
 from __future__ import annotations
 
 import itertools
-import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -33,19 +34,10 @@ __all__ = [
     "rotation_class_census",
     "verify_all",
     "SN_CEILING",
-    "SAMPLE_SEED",
-    "SAMPLE_COUNT",
 ]
 
 # 9! = 362880 streamed elements is the hard stop.
 SN_CEILING = 9
-
-# Head subsets at degrees 7 and 8 are sampled, not exhausted: SAMPLE_COUNT
-# draws with replacement (2^7 = 128 < 200, so replacement is forced) from
-# random.Random(SAMPLE_SEED + n).  Fixed seed, reproducible runs.
-SAMPLE_SEED = 1666
-SAMPLE_COUNT = 200
-_EXHAUSTIVE_HEAD_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -78,22 +70,27 @@ def enumerate_sn(n: int) -> Iterator[Permutation]:
         yield Permutation(image)
 
 
-def _own_cycle_lengths(image: tuple[int, ...]) -> tuple[int, ...]:
-    # Independent cycle walk (no perm module involvement), lengths descending.
-    n = len(image)
-    seen = [False] * (n + 1)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
+def _own_cycles(image: tuple[int, ...]) -> list[tuple[int, int]]:
+    # Independent cycle walk (no perm module involvement): (length, bitmask of
+    # the cycle's points) per cycle, point i at bit i.
+    seen = 0
+    cycles = []
+    for start in range(1, len(image) + 1):
+        if seen >> start & 1:
             continue
-        length = 0
+        length = mask = 0
         x = start
-        while not seen[x]:
-            seen[x] = True
+        while not mask >> x & 1:
+            mask |= 1 << x
             length += 1
             x = image[x - 1]
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+        seen |= mask
+        cycles.append((length, mask))
+    return cycles
+
+
+def _own_cycle_lengths(image: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted((length for length, _ in _own_cycles(image)), reverse=True))
 
 
 def cycle_type_census(n: int) -> dict[tuple[int, ...], int]:
@@ -106,37 +103,28 @@ def cycle_type_census(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _sn_masks(n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    # For each permutation: a bitmask of its fixed points and the bitmasks of
-    # its cycles.  Point i occupies bit i.
-    fixed_masks: list[int] = []
-    cycle_masks: list[tuple[int, ...]] = []
+def _head_census(n: int) -> tuple[Counter[int], Counter[int]]:
+    # One walk over S_n.  fixed[m] counts the permutations whose fixed points
+    # are exactly the mask m; invariant[m] those for which m is a union of
+    # cycles.  Each permutation adds its 2^c unions, (n+1)! entries in all.
+    fixed: Counter[int] = Counter()
+    invariant: Counter[int] = Counter()
     for image in itertools.permutations(range(1, n + 1)):
-        fm = 0
-        for i, x in enumerate(image, start=1):
-            if x == i:
-                fm |= 1 << i
-        seen = 0
-        masks = []
-        for start in range(1, n + 1):
-            if seen >> start & 1:
-                continue
-            m = 0
-            x = start
-            while not (seen >> x & 1):
-                seen |= 1 << x
-                m |= 1 << x
-                x = image[x - 1]
-            masks.append(m)
-        fixed_masks.append(fm)
-        cycle_masks.append(tuple(masks))
-    return fixed_masks, cycle_masks
+        fixed_mask = 0
+        unions = [0]
+        for length, mask in _own_cycles(image):
+            if length == 1:
+                fixed_mask |= mask
+            unions += [u | mask for u in unions]
+        fixed[fixed_mask] += 1
+        invariant.update(unions)
+    return fixed, invariant
 
 
 def count_caput_by_filter(n: int, head: frozenset[int], mode: HeadMode) -> int:
-    """Head count by one filtering pass over all of S_n.
+    """Head count read off one census walk over all of S_n, cached per degree.
 
-    LOOSE keeps permutations whose fixed points cover the head, EXACT those
+    LOOSE counts permutations whose fixed points cover the head, EXACT those
     whose fixed points equal it, SETWISE those for which the head is a union
     of cycles (i.e. is mapped onto itself).
     """
@@ -147,16 +135,12 @@ def count_caput_by_filter(n: int, head: frozenset[int], mode: HeadMode) -> int:
     h = 0
     for i in head:
         h |= 1 << i
-    fixed_masks, cycle_masks = _sn_masks(n)
+    fixed, invariant = _head_census(n)
     if mode is HeadMode.LOOSE:
-        return sum(1 for fm in fixed_masks if fm & h == h)
+        return sum(count for mask, count in fixed.items() if mask & h == h)
     if mode is HeadMode.EXACT:
-        return sum(1 for fm in fixed_masks if fm == h)
-    return sum(
-        1
-        for masks in cycle_masks
-        if all(c & h == 0 or c & h == c for c in masks)
-    )
+        return fixed[h]
+    return invariant[h]
 
 
 def count_partitions_by_enumeration(n: int) -> int:
@@ -234,21 +218,11 @@ def _check_class_orders(max_n: int) -> OracleReport:
     )
 
 
-def _head_masks_to_check(n: int) -> Iterator[frozenset[int]]:
-    if n <= _EXHAUSTIVE_HEAD_DEGREE:
-        for mask in range(2**n):
-            yield frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-    else:
-        rng = random.Random(SAMPLE_SEED + n)
-        for _ in range(SAMPLE_COUNT):
-            mask = rng.randrange(2**n)
-            yield frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-
-
 def _check_caput_counts(max_n: int) -> OracleReport:
     top = min(max_n, 8)
     for n in range(1, top + 1):
-        for head in _head_masks_to_check(n):
+        for bits in range(2**n):
+            head = frozenset(i for i in range(1, n + 1) if bits >> (i - 1) & 1)
             for mode in HeadMode:
                 spec = caput.CaputSpec(degree=n, head=head, mode=mode)
                 closed = caput.count_caput(spec)

@@ -106,7 +106,9 @@ class Cycle:
 
     def __str__(self) -> str:
         if max(self.points) > 9:
-            return "(" + ",".join(str(x) for x in self.points) + ")"
+            # a lone point keeps a trailing comma: "(13)" reads as 1 and 3
+            lone = "," if len(self.points) == 1 else ""
+            return "(" + ",".join(str(x) for x in self.points) + lone + ")"
         return "(" + "".join(str(x) for x in self.points) + ")"
 
 
@@ -276,7 +278,10 @@ def format_cycles(p: Permutation) -> str:
     The textual convention puts short cycles first (fixed points lead), ties
     broken by smallest point; cycle_decomposition itself stays ordered by
     smallest point.  Points are concatenated digit-wise up to degree 9; past
-    that each cycle is comma-separated, since ``(246)`` would be ambiguous.
+    that each cycle holding a point above 9 is comma-separated, since
+    ``(246)`` would be ambiguous, and a 1-cycle of such a point keeps a
+    trailing comma, ``(13,)``, so that it is not read as ``(1,3)``.  Either
+    way ``parse_cycles`` reads the text back to the same permutation.
     """
     cycles = sorted(cycle_decomposition(p), key=lambda c: (c.length, c.points[0]))
     return "".join(str(c) for c in cycles)

@@ -191,25 +191,28 @@ class CaputReduction:
 
 
 def _witnesses_for(problem_id: int | str, n: int, k: int | None, limit: int):
+    # Streams, cut at limit + 1: only what is kept is built, and the extra
+    # item tells whether anything was cut.
+    pool = range(1, n + 1)
     if problem_id in (1, 2, 3):
-        pool = range(1, n + 1)
-        items = [frozenset(c) for c in itertools.combinations(pool, k)]
+        items = map(frozenset, itertools.combinations(pool, k))
     elif problem_id == 4:
-        items = list(itertools.permutations(range(1, n + 1)))
+        items = itertools.permutations(pool)
     elif problem_id == 5:
-        items = [p.image for p in vicinity_classes(n)]
+        # the vicinity_classes representatives, unmaterialized
+        items = ((1,) + rest for rest in itertools.permutations(range(2, n + 1)))
     elif problem_id == SIMPLICITER:
-        pool = range(1, n + 1)
-        items = [
+        items = (
             frozenset(c)
             for size in range(1, n + 1)
             for c in itertools.combinations(pool, size)
-        ]
+        )
     else:
         return None, False
-    if len(items) > limit:
-        return tuple(items[:limit]), True
-    return tuple(items), False
+    kept = tuple(itertools.islice(items, limit + 1))
+    if len(kept) > limit:
+        return kept[:limit], True
+    return kept, False
 
 
 def solve(

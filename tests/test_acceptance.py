@@ -10,7 +10,6 @@ not of 10; exhaustive enumeration (unit-tested and re-run here) yields 42.
 The library keeps the mathematically exact value.
 """
 import math
-import random
 import time
 from collections import Counter
 
@@ -20,8 +19,6 @@ import combinatoria.partitions as partitions_mod
 from combinatoria.caput import CaputSpec, HeadMode, count_caput, enumerate_caput
 from combinatoria.genealogy import coordinates, personae_count
 from combinatoria.oracle import (
-    SAMPLE_COUNT,
-    SAMPLE_SEED,
     count_caput_by_filter,
     count_partitions_by_enumeration,
     count_two_part_by_enumeration,
@@ -129,22 +126,14 @@ def test_criterion_05_fixed_head_example():
 def test_criterion_06_caput_oracle_sweep():
     t0 = time.perf_counter()
     checked = 0
-    for n in range(1, 7):
+    for n in range(1, 9):
         for mask in range(2**n):
             head = frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
             for mode in HeadMode:
                 spec = CaputSpec(degree=n, head=head, mode=mode)
                 assert count_caput(spec) == count_caput_by_filter(n, head, mode)
                 checked += 1
-    for n in (7, 8):
-        rng = random.Random(SAMPLE_SEED + n)
-        for _ in range(SAMPLE_COUNT):
-            mask = rng.randrange(2**n)
-            head = frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
-            for mode in HeadMode:
-                spec = CaputSpec(degree=n, head=head, mode=mode)
-                assert count_caput(spec) == count_caput_by_filter(n, head, mode)
-                checked += 1
+    assert checked == 1530
     elapsed = time.perf_counter() - t0
     _report(6, True, f"{checked} head/mode pairs agree with filtration", elapsed)
     assert elapsed < 60.0

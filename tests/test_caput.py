@@ -219,6 +219,13 @@ class TestDerangements:
         for m in range(0, 25):
             assert derangements(m) == derangements_by_inclusion_exclusion(m)
 
+    def test_large_m_without_recursion(self):
+        # the second recurrence D(m) = m * D(m-1) + (-1)^m, run independently
+        expected = 1
+        for m in range(1, 3001):
+            expected = m * expected + (-1) ** m
+        assert derangements(3000) == expected
+
     def test_negative_rejected(self):
         with pytest.raises(InvariantViolationError):
             derangements(-1)

@@ -1,6 +1,11 @@
 import csv
+import decimal
 import io
 import json
+import math
+import sys
+
+import pytest
 
 from combinatoria.cli import main
 
@@ -209,6 +214,28 @@ class TestUsageErrors:
         code, _, err = run(capsys, "partitions", "list", "--n", "500")
         assert code == 2
         assert "120" in err
+
+
+class TestHugeCounts:
+    # 2000! has 5736 digits, past CPython's default int-to-str limit of 4300;
+    # Decimal renders it without going through that limit.
+    DIGITS = str(decimal.Decimal(math.factorial(2000)))
+    LAST_FIELD = {
+        "human": lambda out: out.splitlines()[-1].split()[-1],
+        "csv": lambda out: list(csv.reader(io.StringIO(out)))[-1][-1],
+        "json": lambda out: json.loads(out)["result"]["count"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_exact_digits_in_every_format(self, capsys, fmt):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(
+            capsys, "problems", "solve", "--id", "4", "--n", "2000", "--format", fmt
+        )
+        assert code == 0, err
+        assert len(self.DIGITS) > 4300
+        assert self.LAST_FIELD[fmt](out) == self.DIGITS
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestEnvironmentDefault:

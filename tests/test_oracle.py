@@ -10,8 +10,6 @@ from combinatoria.errors import (
     InvariantViolationError,
 )
 from combinatoria.oracle import (
-    SAMPLE_COUNT,
-    SAMPLE_SEED,
     OracleReport,
     count_caput_by_filter,
     count_derangements_by_filter,
@@ -116,10 +114,6 @@ class TestVerifyAll:
             verify_all(9)
         with pytest.raises(InvariantViolationError):
             verify_all(-1)
-
-    def test_sampling_contract_is_documented(self):
-        assert SAMPLE_SEED == 1666
-        assert SAMPLE_COUNT == 200
 
 
 class TestMutationDetection:

@@ -31,7 +31,7 @@ from combinatoria.perm import (
 
 from conftest import all_perms, as_mapping, conjugate, mapping_compose
 
-perms = st.integers(min_value=1, max_value=9).flatmap(
+perms = st.integers(min_value=1, max_value=14).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 ).map(lambda seq: Permutation(tuple(seq)))
 

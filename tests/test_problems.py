@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -221,6 +222,23 @@ class TestSolve:
     def test_vicinity_witnesses(self):
         result = solve(5, n=4, with_witnesses=True)
         assert len(result.witnesses) == 6
+
+    def test_vicinity_witnesses_past_the_class_ceiling(self):
+        result = solve(5, n=12, with_witnesses=True)
+        assert result.truncated
+        assert len(result.witnesses) == 1000
+        assert result.witnesses[0] == tuple(range(1, 13))
+
+    def test_witnesses_do_not_materialize_the_whole_group(self):
+        tracemalloc.start()
+        try:
+            result = solve(4, n=9, with_witnesses=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.truncated
+        assert len(result.witnesses) == 1000
+        assert peak < 1_000_000  # all 9! images would take tens of MB
 
 
 class TestReduceToCaput:
