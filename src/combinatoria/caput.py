@@ -192,19 +192,17 @@ def satisfies(spec: CaputSpec, p: Permutation) -> bool:
     return True
 
 
-def enumerate_caput(
-    spec: CaputSpec, ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> Iterator[Permutation]:
+def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
     """Stream the satisfying permutations in lexicographic one-line order.
 
     Position by position, candidate values are tried in increasing order, so
     the output is lex-sorted by construction and memory stays O(n) no matter
     how long the stream is.
     """
-    if spec.degree > ceiling:
+    if spec.degree > DEFAULT_ENUMERATION_CEILING:
         raise EnumerationTooLargeError(
-            f"enumerating S_{spec.degree} exceeds the ceiling {ceiling}; "
-            f"count_caput still works at any degree"
+            f"enumerating S_{spec.degree} exceeds the ceiling "
+            f"{DEFAULT_ENUMERATION_CEILING}; count_caput still works at any degree"
         )
     n = spec.degree
     head = spec.head

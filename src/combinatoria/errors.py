@@ -22,10 +22,11 @@ class InvariantViolationError(CombinatoriaError):
 
 
 class EnumerationTooLargeError(CombinatoriaError):
-    """An enumeration was refused because it exceeds the configured ceiling.
+    """A request was refused because it exceeds a named ceiling.
 
-    Counting is still available past the ceiling; only materialized or
-    streamed enumeration is refused.  The message names the ceiling.
+    Materialized or streamed enumerations have ceilings; closed-form counts
+    do not.  The one count with a ceiling is p(n), whose recurrence table
+    grows with n.  The message names the ceiling.
     """
 
 

@@ -33,7 +33,7 @@ LAYOUT_VERSION = "reconstructed-v1"
 COORDINATE_CEILING = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeCoordinate:
     """An ordered pair locating one person; order matters."""
 
@@ -78,17 +78,17 @@ def discerptiones_two(n: int) -> int:
     return two_part_count(n)
 
 
-def coordinates(gradus: int, ceiling: int = COORDINATE_CEILING) -> list[TreeCoordinate]:
+def coordinates(gradus: int) -> list[TreeCoordinate]:
     """All person coordinates at the given degree under the v1 layout.
 
     Ordered pairs come out in lexicographic order, so (a, b) precedes (b, a)
     whenever a < b and both occur.  The list length is personae_count(gradus).
     """
     model = GradusModel(gradus)
-    if model.gradus > ceiling:
+    if model.gradus > COORDINATE_CEILING:
         raise EnumerationTooLargeError(
             f"materializing 2^{model.gradus} * {model.cognationes} coordinates "
-            f"exceeds the ceiling {ceiling}; personae_count still works"
+            f"exceeds the ceiling {COORDINATE_CEILING}; personae_count still works"
         )
     return [
         TreeCoordinate(path, rank)

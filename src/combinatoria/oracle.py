@@ -7,8 +7,12 @@ closed forms under test are reached through their modules (``partitions.X``,
 ``caput.Y``) so a corrupted implementation is seen by the checks.
 
 Speed is a non-goal; the enumerations are merely kept single-pass so the
-full sweep stays inside its time budget.  Head counts are checked for every
-head subset at every degree, read off one census walk of S_n per degree.
+full sweep stays inside its time budget.  One walk of S_n per degree, cached,
+feeds every census: cycle types, fixed points and invariant sets (so every
+head subset is checked at every degree), derangements and rotation classes.
+
+Each check yields its counterexamples; ``verify_all`` reports the first one
+of each, or a pass.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import caput, genealogy, partitions, problems
 from .caput import HeadMode
@@ -89,58 +93,63 @@ def _own_cycles(image: tuple[int, ...]) -> list[tuple[int, int]]:
     return cycles
 
 
-def _own_cycle_lengths(image: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((length for length, _ in _own_cycles(image)), reverse=True))
+class _Census(NamedTuple):
+    cycle_types: Counter[tuple[int, ...]]
+    fixed: Counter[int]
+    invariant: Counter[int]
+    rotations: frozenset[tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def _census(n: int) -> _Census:
+    # One walk over S_n.  cycle_types counts each multiset of cycle lengths;
+    # fixed[m] counts the permutations whose fixed points are exactly the
+    # mask m; invariant[m] those for which m is a union of cycles (each
+    # permutation adds its 2^c unions, (n+1)! entries in all); rotations holds
+    # each arrangement rotated to put 1 first.
+    if n < 1:
+        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    if n > SN_CEILING:
+        raise EnumerationTooLargeError(
+            f"walking S_{n} exceeds the ceiling {SN_CEILING}"
+        )
+    cycle_types, fixed, invariant, rotations = Counter(), Counter(), Counter(), set()
+    for image in itertools.permutations(range(1, n + 1)):
+        lengths = []
+        fixed_mask = 0
+        unions = [0]
+        for length, mask in _own_cycles(image):
+            lengths.append(length)
+            if length == 1:
+                fixed_mask |= mask
+            unions += [u | mask for u in unions]
+        cycle_types[tuple(sorted(lengths, reverse=True))] += 1
+        fixed[fixed_mask] += 1
+        invariant.update(unions)
+        k = image.index(1)
+        rotations.add(image[k:] + image[:k])
+    return _Census(cycle_types, fixed, invariant, frozenset(rotations))
 
 
 def cycle_type_census(n: int) -> dict[tuple[int, ...], int]:
     """How many permutations of S_n carry each multiset of cycle lengths."""
-    census: dict[tuple[int, ...], int] = {}
-    for image in itertools.permutations(range(1, n + 1)):
-        key = _own_cycle_lengths(image)
-        census[key] = census.get(key, 0) + 1
-    return census
-
-
-@lru_cache(maxsize=None)
-def _head_census(n: int) -> tuple[Counter[int], Counter[int]]:
-    # One walk over S_n.  fixed[m] counts the permutations whose fixed points
-    # are exactly the mask m; invariant[m] those for which m is a union of
-    # cycles.  Each permutation adds its 2^c unions, (n+1)! entries in all.
-    fixed: Counter[int] = Counter()
-    invariant: Counter[int] = Counter()
-    for image in itertools.permutations(range(1, n + 1)):
-        fixed_mask = 0
-        unions = [0]
-        for length, mask in _own_cycles(image):
-            if length == 1:
-                fixed_mask |= mask
-            unions += [u | mask for u in unions]
-        fixed[fixed_mask] += 1
-        invariant.update(unions)
-    return fixed, invariant
+    return dict(_census(n).cycle_types)
 
 
 def count_caput_by_filter(n: int, head: frozenset[int], mode: HeadMode) -> int:
-    """Head count read off one census walk over all of S_n, cached per degree.
+    """Head count read off the census of S_n.
 
     LOOSE counts permutations whose fixed points cover the head, EXACT those
     whose fixed points equal it, SETWISE those for which the head is a union
     of cycles (i.e. is mapped onto itself).
     """
-    if n > SN_CEILING:
-        raise EnumerationTooLargeError(
-            f"filtering S_{n} exceeds the ceiling {SN_CEILING}"
-        )
-    h = 0
-    for i in head:
-        h |= 1 << i
-    fixed, invariant = _head_census(n)
+    h = sum(1 << i for i in head)
+    census = _census(n)
     if mode is HeadMode.LOOSE:
-        return sum(count for mask, count in fixed.items() if mask & h == h)
+        return sum(count for mask, count in census.fixed.items() if mask & h == h)
     if mode is HeadMode.EXACT:
-        return fixed[h]
-    return invariant[h]
+        return census.fixed[h]
+    return census.invariant[h]
 
 
 def count_partitions_by_enumeration(n: int) -> int:
@@ -165,83 +174,47 @@ def count_two_part_by_enumeration(n: int) -> int:
 
 
 def count_derangements_by_filter(m: int) -> int:
-    """Permutations of m points without fixed points, by filtration."""
+    """Permutations of m points without fixed points, read off the census."""
     if m == 0:
         return 1
-    return sum(
-        1
-        for image in itertools.permutations(range(1, m + 1))
-        if all(x != i for i, x in enumerate(image, start=1))
-    )
+    return _census(m).fixed[0]
 
 
-def _canonical_rotation(image: tuple[int, ...]) -> tuple[int, ...]:
-    k = image.index(1)
-    return image[k:] + image[:k]
-
-
-def rotation_class_census(n: int) -> set[tuple[int, ...]]:
+def rotation_class_census(n: int) -> frozenset[tuple[int, ...]]:
     """Distinct rotation classes of all n! arrangements, as canonical forms."""
-    return {
-        _canonical_rotation(image)
-        for image in itertools.permutations(range(1, n + 1))
-    }
+    return _census(n).rotations
 
 
 # -- the registered comparisons ------------------------------------------------
+# Each check walks its range up to top and yields counterexample texts.
 
-def _check_class_orders(max_n: int) -> OracleReport:
-    top = min(max_n, 7)
+def _check_class_orders(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         census = cycle_type_census(n)
         types = partitions.cycle_types_of(n)
         if len(types) != len(census):
-            return OracleReport(
-                "class-order formula vs cycle-type census",
-                f"n=1..{top}",
-                False,
-                f"n={n}: {len(types)} cycle types claimed, census saw {len(census)}",
-            )
+            yield f"n={n}: {len(types)} cycle types claimed, census saw {len(census)}"
         for t in types:
             formula = partitions.class_order(t).order
             counted = census.get(t.cycle_lengths(), 0)
             if formula != counted:
-                return OracleReport(
-                    "class-order formula vs cycle-type census",
-                    f"n=1..{top}",
-                    False,
-                    f"n={n}, cycle lengths {t.cycle_lengths()}: "
-                    f"formula {formula}, census {counted}",
-                )
-    return OracleReport(
-        "class-order formula vs cycle-type census", f"n=1..{top}", True
-    )
+                yield (f"n={n}, cycle lengths {t.cycle_lengths()}: "
+                       f"formula {formula}, census {counted}")
 
 
-def _check_caput_counts(max_n: int) -> OracleReport:
-    top = min(max_n, 8)
+def _check_caput_counts(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         for bits in range(2**n):
             head = frozenset(i for i in range(1, n + 1) if bits >> (i - 1) & 1)
             for mode in HeadMode:
-                spec = caput.CaputSpec(degree=n, head=head, mode=mode)
-                closed = caput.count_caput(spec)
+                closed = caput.count_caput(caput.CaputSpec(degree=n, head=head, mode=mode))
                 filtered = count_caput_by_filter(n, head, mode)
                 if closed != filtered:
-                    return OracleReport(
-                        "head counts (all modes) vs filtered enumeration",
-                        f"n=1..{top}",
-                        False,
-                        f"n={n}, head {sorted(head)}, mode {mode.value}: "
-                        f"closed form {closed}, filter {filtered}",
-                    )
-    return OracleReport(
-        "head counts (all modes) vs filtered enumeration", f"n=1..{top}", True
-    )
+                    yield (f"n={n}, head {sorted(head)}, mode {mode.value}: "
+                           f"closed form {closed}, filter {filtered}")
 
 
-def _check_vicinity_triangle(max_n: int) -> OracleReport:
-    top = min(max_n, 8)
+def _check_vicinity_triangle(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         counted = len(rotation_class_census(n))
         closed = problems.vicinity_variations(n)
@@ -249,51 +222,22 @@ def _check_vicinity_triangle(max_n: int) -> OracleReport:
             partitions.partition_to_cycle_type(partitions.Partition((n,)))
         ).order
         if not (closed == full_cycle == counted):
-            return OracleReport(
-                "vicinity count vs class order vs rotation census",
-                f"n=1..{top}",
-                False,
-                f"n={n}: vicinity {closed}, class order {full_cycle}, census {counted}",
-            )
-    return OracleReport(
-        "vicinity count vs class order vs rotation census", f"n=1..{top}", True
-    )
+            yield f"n={n}: vicinity {closed}, class order {full_cycle}, census {counted}"
 
 
-def _check_vicinity_classes(max_n: int) -> OracleReport:
-    top = min(max_n, 7)
+def _check_vicinity_classes(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
-        reps = problems.vicinity_classes(n)
-        rep_images = [p.image for p in reps]
+        rep_images = [p.image for p in problems.vicinity_classes(n)]
         if len(set(rep_images)) != len(rep_images):
-            return OracleReport(
-                "vicinity class representatives vs rotation census",
-                f"n=1..{top}",
-                False,
-                f"n={n}: duplicate representatives",
-            )
+            yield f"n={n}: duplicate representatives"
         bad = [img for img in rep_images if img[0] != 1]
         if bad:
-            return OracleReport(
-                "vicinity class representatives vs rotation census",
-                f"n=1..{top}",
-                False,
-                f"n={n}: non-canonical representative {bad[0]}",
-            )
+            yield f"n={n}: non-canonical representative {bad[0]}"
         if set(rep_images) != rotation_class_census(n):
-            return OracleReport(
-                "vicinity class representatives vs rotation census",
-                f"n=1..{top}",
-                False,
-                f"n={n}: representative set differs from the census",
-            )
-    return OracleReport(
-        "vicinity class representatives vs rotation census", f"n=1..{top}", True
-    )
+            yield f"n={n}: representative set differs from the census"
 
 
-def _check_complexions(max_n: int) -> OracleReport:
-    top = min(max_n, 10)
+def _check_complexions(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         by_size = [0] * (n + 1)
         for mask in range(2**n):
@@ -301,102 +245,69 @@ def _check_complexions(max_n: int) -> OracleReport:
         for k in range(n + 1):
             closed = problems.complexions(n, k)
             if closed != by_size[k]:
-                return OracleReport(
-                    "complexion counts vs subset census",
-                    f"n=1..{top}",
-                    False,
-                    f"n={n}, k={k}: closed form {closed}, census {by_size[k]}",
-                )
+                yield f"n={n}, k={k}: closed form {closed}, census {by_size[k]}"
         simpliciter = problems.complexiones_simpliciter(n)
         nonempty = sum(by_size[1:])
         if simpliciter != nonempty:
-            return OracleReport(
-                "complexion counts vs subset census",
-                f"n=1..{top}",
-                False,
-                f"n={n}: simpliciter {simpliciter}, non-empty census {nonempty}",
-            )
-    return OracleReport("complexion counts vs subset census", f"n=1..{top}", True)
+            yield f"n={n}: simpliciter {simpliciter}, non-empty census {nonempty}"
 
 
-def _check_partition_counts(max_n: int) -> OracleReport:
-    top = 3 * max_n
+def _check_partition_counts(top: int) -> Iterator[str]:
     for n in range(0, top + 1):
         closed = partitions.count_partitions(n)
         walked = count_partitions_by_enumeration(n)
         if closed != walked:
-            return OracleReport(
-                "partition recurrence vs exhaustive walk",
-                f"N=0..{top}",
-                False,
-                f"N={n}: recurrence {closed}, walk {walked}",
-            )
-    return OracleReport("partition recurrence vs exhaustive walk", f"N=0..{top}", True)
+            yield f"N={n}: recurrence {closed}, walk {walked}"
 
 
-def _check_two_part_counts(max_n: int) -> OracleReport:
-    top = 10 * max_n
+def _check_two_part_counts(top: int) -> Iterator[str]:
     for n in range(2, top + 1):
         closed = partitions.two_part_count(n)
         listed = count_two_part_by_enumeration(n)
         if closed != listed:
-            return OracleReport(
-                "two-part formula vs pair listing",
-                f"N=2..{top}",
-                False,
-                f"N={n}: formula {closed}, listing {listed}",
-            )
-    return OracleReport("two-part formula vs pair listing", f"N=2..{top}", True)
+            yield f"N={n}: formula {closed}, listing {listed}"
 
 
-def _check_derangements(max_n: int) -> OracleReport:
-    top = min(max_n, 8)
+def _check_derangements(top: int) -> Iterator[str]:
     for m in range(0, top + 1):
         recurrence = caput.derangements(m)
         alternating = caput.derangements_by_inclusion_exclusion(m)
         filtered = count_derangements_by_filter(m)
         if not (recurrence == alternating == filtered):
-            return OracleReport(
-                "derangement numbers vs fixed-point-free census",
-                f"m=0..{top}",
-                False,
-                f"m={m}: recurrence {recurrence}, inclusion-exclusion "
-                f"{alternating}, census {filtered}",
-            )
-    return OracleReport(
-        "derangement numbers vs fixed-point-free census", f"m=0..{top}", True
-    )
+            yield (f"m={m}: recurrence {recurrence}, inclusion-exclusion "
+                   f"{alternating}, census {filtered}")
 
 
-def _check_genealogy(max_n: int) -> OracleReport:
-    top = min(2 * max_n, 15)
+def _check_genealogy(top: int) -> Iterator[str]:
     for n in range(0, top + 1):
         coords = genealogy.coordinates(n)
         closed = genealogy.personae_count(n)
         pairs = {(c.antecedens, c.sequens) for c in coords}
         if len(coords) != closed or len(pairs) != len(coords):
-            return OracleReport(
-                "person count vs coordinate materialization",
-                f"gradus=0..{top}",
-                False,
-                f"gradus={n}: count {closed}, listed {len(coords)}, "
-                f"distinct {len(pairs)}",
-            )
-    return OracleReport(
-        "person count vs coordinate materialization", f"gradus=0..{top}", True
-    )
+            yield (f"gradus={n}: count {closed}, listed {len(coords)}, "
+                   f"distinct {len(pairs)}")
 
 
-_SUITES: tuple[tuple[str, Callable[[int], OracleReport]], ...] = (
-    ("class_orders", _check_class_orders),
-    ("caput_counts", _check_caput_counts),
-    ("vicinity_triangle", _check_vicinity_triangle),
-    ("vicinity_classes", _check_vicinity_classes),
-    ("complexions", _check_complexions),
-    ("partition_counts", _check_partition_counts),
-    ("two_part_counts", _check_two_part_counts),
-    ("derangements", _check_derangements),
-    ("genealogy_coordinates", _check_genealogy),
+# (claim, range label up to its top, top as a function of max_n, check)
+_SUITES: tuple[tuple[str, str, Callable[[int], int], Callable[[int], Iterator[str]]], ...] = (
+    ("class-order formula vs cycle-type census",
+     "n=1..", lambda max_n: min(max_n, 7), _check_class_orders),
+    ("head counts (all modes) vs filtered enumeration",
+     "n=1..", lambda max_n: min(max_n, 8), _check_caput_counts),
+    ("vicinity count vs class order vs rotation census",
+     "n=1..", lambda max_n: min(max_n, 8), _check_vicinity_triangle),
+    ("vicinity class representatives vs rotation census",
+     "n=1..", lambda max_n: min(max_n, 7), _check_vicinity_classes),
+    ("complexion counts vs subset census",
+     "n=1..", lambda max_n: min(max_n, 10), _check_complexions),
+    ("partition recurrence vs exhaustive walk",
+     "N=0..", lambda max_n: 3 * max_n, _check_partition_counts),
+    ("two-part formula vs pair listing",
+     "N=2..", lambda max_n: 10 * max_n, _check_two_part_counts),
+    ("derangement numbers vs fixed-point-free census",
+     "m=0..", lambda max_n: min(max_n, 8), _check_derangements),
+    ("person count vs coordinate materialization",
+     "gradus=0..", lambda max_n: min(2 * max_n, 15), _check_genealogy),
 )
 
 
@@ -412,4 +323,11 @@ def verify_all(max_n: int) -> list[OracleReport]:
         raise EnumerationTooLargeError(
             f"full verification sweeps are capped at max_n=8, got {max_n}"
         )
-    return [check(max_n) for _, check in _SUITES]
+    reports = []
+    for claim, label, top_of, check in _SUITES:
+        top = top_of(max_n)
+        counterexample = next(check(top), None)
+        reports.append(
+            OracleReport(claim, f"{label}{top}", counterexample is None, counterexample)
+        )
+    return reports

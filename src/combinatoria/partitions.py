@@ -26,10 +26,15 @@ __all__ = [
     "partition_to_cycle_type",
     "cycle_type_to_partition",
     "DEFAULT_ENUMERATION_CEILING",
+    "COUNTING_CEILING",
 ]
 
-# p(120) is ~1.8e6 partitions: still materializable.  Counting has no ceiling.
+# p(120) is ~1.8e6 partitions: still materializable.
 DEFAULT_ENUMERATION_CEILING = 120
+
+# p(n) fills a table of n + 1 exact integers: p(100000) takes about 10 s and
+# 28 MB, and the cost grows faster than n past it.
+COUNTING_CEILING = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +93,7 @@ def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
             spare -= take
 
 
-def enumerate_partitions(
-    n: int, ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order.
 
     >>> [str(p) for p in enumerate_partitions(4)]
@@ -98,10 +101,10 @@ def enumerate_partitions(
     """
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
-    if n > ceiling:
+    if n > DEFAULT_ENUMERATION_CEILING:
         raise EnumerationTooLargeError(
-            f"enumerating partitions of {n} exceeds the ceiling {ceiling}; "
-            f"count_partitions({n}) still works"
+            f"enumerating partitions of {n} exceeds the ceiling "
+            f"{DEFAULT_ENUMERATION_CEILING}; count_partitions({n}) still works"
         )
     return [Partition(parts) for parts in _descending_parts(n)]
 
@@ -116,6 +119,11 @@ def count_partitions(n: int) -> int:
     """Exact p(n): p(0) = 1, p(6) = 11, p(100) = 190569292."""
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
+    if n > COUNTING_CEILING:
+        raise EnumerationTooLargeError(
+            f"counting partitions of n above the ceiling {COUNTING_CEILING} is "
+            f"refused; two_part_count still works at any n"
+        )
     with _pn_lock:
         while len(_pn_table) <= n:
             m = len(_pn_table)
@@ -183,9 +191,7 @@ def cycle_type_to_partition(t: CycleType) -> Partition:
     return Partition(t.cycle_lengths())
 
 
-def cycle_types_of(
-    n: int, ceiling: int = DEFAULT_ENUMERATION_CEILING
-) -> list[CycleType]:
+def cycle_types_of(n: int) -> list[CycleType]:
     """One cycle type per conjugacy class of S_n; there are p(n) of them.
 
     Ordered like enumerate_partitions(n): the full n-cycle class first, the
@@ -193,4 +199,4 @@ def cycle_types_of(
     """
     if n < 1:
         raise InvariantViolationError("S_n needs n >= 1")
-    return [partition_to_cycle_type(p) for p in enumerate_partitions(n, ceiling)]
+    return [partition_to_cycle_type(p) for p in enumerate_partitions(n)]

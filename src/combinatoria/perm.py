@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A bijection of {1, ..., n} in one-line form.
 
@@ -79,7 +79,7 @@ class Permutation:
         return f"Permutation({self.image!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """A cycle of distinct points, stored with the smallest point first.
 
@@ -112,7 +112,7 @@ class Cycle:
         return "(" + "".join(str(x) for x in self.points) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleType:
     """Cycle-count vector (alpha_1, ..., alpha_n): alpha[i-1] i-cycles.
 

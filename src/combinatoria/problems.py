@@ -117,17 +117,17 @@ def canonical_vicinity(arrangement: Permutation | Sequence[int]) -> Permutation:
     return Permutation(p.image[k:] + p.image[:k])
 
 
-def vicinity_classes(n: int, ceiling: int = VICINITY_CLASS_CEILING) -> list[Permutation]:
+def vicinity_classes(n: int) -> list[Permutation]:
     """One canonical representative per rotation class, (n-1)! in all.
 
     Representatives start with point 1 and come out in lexicographic order.
     """
     if n < 1:
         raise InvalidDegreeError("vicinity classes need n >= 1")
-    if n > ceiling:
+    if n > VICINITY_CLASS_CEILING:
         raise EnumerationTooLargeError(
             f"materializing ({n}-1)! class representatives exceeds the ceiling "
-            f"{ceiling}; vicinity_variations({n}) still counts them"
+            f"{VICINITY_CLASS_CEILING}; vicinity_variations({n}) still counts them"
         )
     return [
         Permutation((1,) + rest)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from combinatoria.cli import main
+from combinatoria.partitions import COUNTING_CEILING
 
 
 def run(capsys, *argv):
@@ -214,6 +215,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "partitions", "list", "--n", "500")
         assert code == 2
         assert "120" in err
+
+    def test_count_past_the_counting_ceiling_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "partitions", "count", "--n", "99999999999999999999999999999999999"
+        )
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("combinatoria: error:")
+        assert str(COUNTING_CEILING) in lines[0]
 
 
 class TestHugeCounts:

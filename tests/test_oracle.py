@@ -2,7 +2,10 @@ import math
 
 import pytest
 
+import combinatoria.caput as caput_mod
+import combinatoria.genealogy as genealogy_mod
 import combinatoria.partitions as partitions_mod
+import combinatoria.problems as problems_mod
 from combinatoria.caput import HeadMode
 from combinatoria.errors import (
     EnumerationTooLargeError,
@@ -10,6 +13,7 @@ from combinatoria.errors import (
     InvariantViolationError,
 )
 from combinatoria.oracle import (
+    SN_CEILING,
     OracleReport,
     count_caput_by_filter,
     count_derangements_by_filter,
@@ -86,6 +90,19 @@ class TestFilterCounters:
     def test_rotation_census_of_s4(self):
         assert len(rotation_class_census(4)) == 6
 
+    @pytest.mark.parametrize(
+        "census",
+        [
+            cycle_type_census,
+            rotation_class_census,
+            count_derangements_by_filter,
+            lambda n: count_caput_by_filter(n, frozenset(), HeadMode.LOOSE),
+        ],
+    )
+    def test_censuses_refuse_past_the_ceiling(self, census):
+        with pytest.raises(EnumerationTooLargeError, match=str(SN_CEILING)):
+            census(SN_CEILING + 1)
+
 
 class TestOracleReport:
     def test_fail_requires_counterexample(self):
@@ -116,6 +133,56 @@ class TestVerifyAll:
             verify_all(-1)
 
 
+# One corrupted closed form per suite that the class-order and head-count
+# cases below leave out: (module, name, corruption of the true function,
+# max_n, {failed claim: counterexample}).
+MUTATIONS = {
+    "count_partitions": (
+        partitions_mod, "count_partitions", lambda f: lambda n: f(n) + (n == 5), 2,
+        {"partition recurrence vs exhaustive walk": "N=5: recurrence 8, walk 7"},
+    ),
+    "two_part_count": (
+        partitions_mod, "two_part_count", lambda f: lambda n: f(n) + (n == 7), 1,
+        {"two-part formula vs pair listing": "N=7: formula 4, listing 3"},
+    ),
+    "derangements": (
+        caput_mod, "derangements", lambda f: lambda m: f(m) + (m == 4), 4,
+        {
+            "head counts (all modes) vs filtered enumeration":
+                "n=4, head [], mode exact: closed form 10, filter 9",
+            "derangement numbers vs fixed-point-free census":
+                "m=4: recurrence 10, inclusion-exclusion 9, census 9",
+        },
+    ),
+    "personae_count": (
+        genealogy_mod, "personae_count", lambda f: lambda g: f(g) + (g == 2), 1,
+        {
+            "person count vs coordinate materialization":
+                "gradus=2: count 13, listed 12, distinct 12",
+        },
+    ),
+    "vicinity_variations": (
+        problems_mod, "vicinity_variations", lambda f: lambda n: f(n) * (1 + (n == 4)), 4,
+        {
+            "vicinity count vs class order vs rotation census":
+                "n=4: vicinity 12, class order 6, census 6",
+        },
+    ),
+    "complexions": (
+        problems_mod, "complexions", lambda f: lambda n, k: f(n, k) + ((n, k) == (4, 2)), 4,
+        {"complexion counts vs subset census": "n=4, k=2: closed form 7, census 6"},
+    ),
+    "vicinity_classes": (
+        problems_mod, "vicinity_classes",
+        lambda f: lambda n: f(n)[:-1] if n == 4 else f(n), 4,
+        {
+            "vicinity class representatives vs rotation census":
+                "n=4: representative set differs from the census",
+        },
+    ),
+}
+
+
 class TestMutationDetection:
     def test_corrupted_class_order_denominator_is_caught(self, monkeypatch):
         def corrupted(t):
@@ -139,8 +206,6 @@ class TestMutationDetection:
         assert "formula" in class_report.counterexample
 
     def test_corrupted_caput_count_is_caught(self, monkeypatch):
-        import combinatoria.caput as caput_mod
-
         true_count = caput_mod.count_caput
 
         def corrupted(spec):
@@ -152,3 +217,11 @@ class TestMutationDetection:
         reports = verify_all(3)
         failed = [r for r in reports if not r.passed]
         assert any(r.claim.startswith("head counts") for r in failed)
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_each_suite_reports_its_corruption(self, monkeypatch, name):
+        module, attr, corrupt, max_n, expected = MUTATIONS[name]
+        monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+        reports = verify_all(max_n)
+        failed = {r.claim: r.counterexample for r in reports if not r.passed}
+        assert failed == expected

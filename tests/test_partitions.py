@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combinatoria.errors import EnumerationTooLargeError, InvariantViolationError
+import combinatoria.partitions as partitions_mod
 from combinatoria.partitions import (
+    COUNTING_CEILING,
     ClassOrder,
     Partition,
     class_order,
@@ -87,7 +89,6 @@ class TestEnumerate:
     def test_ceiling_is_named_in_the_error(self):
         with pytest.raises(EnumerationTooLargeError, match="120"):
             enumerate_partitions(121)
-        assert len(enumerate_partitions(8, ceiling=8)) == 22
 
 
 class TestCount:
@@ -110,6 +111,15 @@ class TestCount:
     def test_negative_rejected(self):
         with pytest.raises(InvariantViolationError):
             count_partitions(-1)
+
+    def test_counting_ceiling_refuses_before_the_table_grows(self):
+        size = len(partitions_mod._pn_table)
+        assert size <= COUNTING_CEILING
+        with pytest.raises(EnumerationTooLargeError, match=str(COUNTING_CEILING)):
+            count_partitions(COUNTING_CEILING + 1)
+        with pytest.raises(EnumerationTooLargeError):
+            count_partitions(10**40)
+        assert len(partitions_mod._pn_table) == size
 
     def test_concurrent_fills_agree(self):
         results = []
