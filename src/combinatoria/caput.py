@@ -18,8 +18,9 @@ circle-of-neighbours count of `problems.vicinity_variations`.
 """
 from __future__ import annotations
 
+import itertools
 import math
-import threading
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -30,7 +31,7 @@ from .errors import (
     InvalidDegreeError,
     InvariantViolationError,
 )
-from .perm import Permutation, point_to_symbol, symbol_to_point
+from .perm import Permutation, _trusted, point_to_symbol, symbol_to_point
 
 __all__ = [
     "HeadMode",
@@ -133,12 +134,6 @@ class CaputSpec:
         return {i: point_to_symbol(i) if i <= 26 else str(i) for i in sorted(self.head)}
 
 
-# D(0..) memoized bottom-up.  The table only grows, and the lock keeps
-# concurrent fills consistent.
-_dm_table: list[int] = [1, 0]
-_dm_lock = threading.Lock()
-
-
 def derangements(m: int) -> int:
     """D(m), permutations of m points with no fixed point.
 
@@ -147,11 +142,13 @@ def derangements(m: int) -> int:
     """
     if m < 0:
         raise InvariantViolationError("derangements are defined for m >= 0")
-    with _dm_lock:
-        while len(_dm_table) <= m:
-            k = len(_dm_table)
-            _dm_table.append((k - 1) * (_dm_table[k - 1] + _dm_table[k - 2]))
-        return _dm_table[m]
+    # Only the last two values are kept: a table of every D(k) would grow
+    # quadratically in memory with m.  The k = 1 step multiplies the unused
+    # D(-1) by 0.
+    before, current = 0, 1
+    for k in range(1, m + 1):
+        before, current = current, (k - 1) * (current + before)
+    return current
 
 
 def derangements_by_inclusion_exclusion(m: int) -> int:
@@ -195,50 +192,108 @@ def satisfies(spec: CaputSpec, p: Permutation) -> bool:
 def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
     """Stream the satisfying permutations in lexicographic one-line order.
 
-    Position by position, candidate values are tried in increasing order, so
-    the output is lex-sorted by construction and memory stays O(n) no matter
-    how long the stream is.
+    In every mode the head occupants end up at head positions, so the free
+    positions draw the free values only.  The stream is a generator built
+    from ``itertools.permutations`` blocks, lex-sorted by construction, and
+    its memory stays O(n) however long it runs:
+
+    - LOOSE: one block, the arrangements of the free values, each placed
+      among the pinned head values;
+    - EXACT: the same, but the free positions are taken one by one, each
+      skipping its own value, until the last few are left; those form a
+      block filtered for fixed points, so the stream never stalls on a run
+      of rejects;
+    - SETWISE: the positions split into maximal runs of head and of free
+      positions, and each run arranges what its class has left, run after
+      run like an odometer (Knuth, TAOCP 4A, 7.2.1.2); the last two runs
+      take all that is left of their classes.
     """
     if spec.degree > DEFAULT_ENUMERATION_CEILING:
         raise EnumerationTooLargeError(
             f"enumerating S_{spec.degree} exceeds the ceiling "
             f"{DEFAULT_ENUMERATION_CEILING}; count_caput still works at any degree"
         )
-    n = spec.degree
-    head = spec.head
-    mode = spec.mode
-    used = [False] * (n + 1)
-    image = [0] * n
+    return _stream(spec.degree, spec.head, spec.mode)
 
-    def candidates(pos: int) -> Iterator[int]:
-        if pos in head:
-            if mode is HeadMode.SETWISE:
-                for v in sorted(head):
-                    if not used[v]:
-                        yield v
-            elif not used[pos]:
-                yield pos
-            return
-        # In every mode the head occupants end up at head positions, so the
-        # complement positions draw complement values only.
-        for v in range(1, n + 1):
-            if used[v] or v in head:
+
+# EXACT arranges its last free positions as one block and drops the
+# arrangements with a fixed point.  A block of k >= 2 positions keeps at least
+# one, so fewer than 2 * k! rejects come between two items.
+_EXACT_BLOCK = 6
+
+
+def _stream(n: int, head: frozenset[int], mode: HeadMode) -> Iterator[Permutation]:
+    if mode is HeadMode.SETWISE and 0 < len(head) < n:
+        pools = {True: sorted(head), False: [i for i in range(1, n + 1) if i not in head]}
+        runs = [
+            (pools[in_head], len(list(group)))
+            for in_head, group in itertools.groupby(range(1, n + 1), head.__contains__)
+        ]
+        # The last two runs are of different classes and the last of each,
+        # so they take all that is left; nested loops keep memory O(n).
+        (pool_a, _), (pool_b, _) = runs[-2:]
+        for prefix, taken in _odometer(runs[:-2]):
+            left_b = [v for v in pool_b if v not in taken]
+            for a in itertools.permutations([v for v in pool_a if v not in taken]):
+                start = prefix + a
+                for b in itertools.permutations(left_b):
+                    yield _trusted(start + b)
+        return
+    if mode is HeadMode.SETWISE:
+        head = frozenset()  # an empty or a full head admits all of S_n
+    free = tuple(i for i in range(1, n + 1) if i not in head)
+    pinned = tuple(sorted(head))
+    # the value of position i sits at order[i - 1] in free values + pinned
+    slot = {v: k for k, v in enumerate(free + pinned)}
+    order = [slot[i] for i in range(1, n + 1)]
+    place = tuple if order == sorted(order) else operator.itemgetter(*order)
+    cut = max(len(free) - _EXACT_BLOCK, 0) if mode is HeadMode.EXACT else 0
+    avoid = free[cut:] if mode is HeadMode.EXACT else ()
+    for prefix, taken in _odometer([(free, 1, (pos,)) for pos in free[:cut]]):
+        for rest in _arrangements(taken, free, len(free) - cut, avoid):
+            yield _trusted(place(prefix + rest + pinned))
+
+
+def _arrangements(
+    taken: set[int], pool: Sequence[int], length: int, avoid: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Lex-ordered arrangements of ``length`` values of ``pool`` not yet taken.
+
+    With ``avoid``, an arrangement is dropped when it puts avoid[j] at its
+    j-th place.
+    """
+    chunks = itertools.permutations([v for v in pool if v not in taken], length)
+    if avoid:
+        chunks = itertools.filterfalse(lambda c: any(map(operator.eq, c, avoid)), chunks)
+    return chunks
+
+
+def _odometer(lead: Sequence[tuple]) -> Iterator[tuple[tuple[int, ...], set[int]]]:
+    """Yield (prefix, taken) for every way to fill the lead stages in turn.
+
+    Stage d of ``lead`` holds the arguments after ``taken`` of an
+    ``_arrangements`` call, made over the values the stages before it left.
+    The prefixes come in lex order; ``taken`` is the set of their values,
+    valid until the next step.
+    """
+    picked: list[tuple[int, ...]] = []
+    taken: set[int] = set()
+    wheels = [_arrangements(taken, *lead[0])] if lead else []
+    while True:
+        if len(picked) == len(lead):
+            yield tuple(itertools.chain.from_iterable(picked)), taken
+        else:
+            chunk = next(wheels[-1], None)
+            if chunk is not None:
+                picked.append(chunk)
+                taken.update(chunk)
+                if len(picked) < len(lead):
+                    wheels.append(_arrangements(taken, *lead[len(picked)]))
                 continue
-            if mode is HeadMode.EXACT and v == pos:
-                continue
-            yield v
-
-    def extend(pos: int) -> Iterator[Permutation]:
-        if pos > n:
-            yield Permutation(tuple(image))
+            wheels.pop()
+        if not picked:
             return
-        for v in candidates(pos):
-            used[v] = True
-            image[pos - 1] = v
-            yield from extend(pos + 1)
-            used[v] = False
-
-    return extend(1)
+        taken.difference_update(picked.pop())
 
 
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:

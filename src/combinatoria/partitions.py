@@ -68,29 +68,45 @@ class Partition:
 
 
 def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
-    # Reverse-lexicographic walk by in-place mutation: decrement the
-    # rightmost part above 1, then redistribute what fell off greedily.
+    # ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for generating integer
+    # partitions", Int. J. Comput. Math. 70, 1998): reverse-lexicographic
+    # order in constant amortized time.  x[:m] is the current partition and
+    # h the index of its last part above 1; each step lowers x[h] by one
+    # and spreads the parts of size 1 behind it in parts of that size.
+    if n > DEFAULT_ENUMERATION_CEILING:
+        raise EnumerationTooLargeError(
+            f"enumerating partitions of {n} exceeds the ceiling "
+            f"{DEFAULT_ENUMERATION_CEILING}; count_partitions({n}) still works"
+        )
     if n == 0:
         yield ()
         return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        j = len(parts) - 1
-        spare = 0
-        while j >= 0 and parts[j] == 1:
-            spare += 1
-            j -= 1
-        if j < 0:
-            return
-        parts[j] -= 1
-        cap = parts[j]
-        spare += 1
-        del parts[j + 1:]
-        while spare:
-            take = min(cap, spare)
-            parts.append(take)
-            spare -= take
+    x = [1] * n
+    x[0] = n
+    m = 1
+    h = 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -101,11 +117,6 @@ def enumerate_partitions(n: int) -> list[Partition]:
     """
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
-    if n > DEFAULT_ENUMERATION_CEILING:
-        raise EnumerationTooLargeError(
-            f"enumerating partitions of {n} exceeds the ceiling "
-            f"{DEFAULT_ENUMERATION_CEILING}; count_partitions({n}) still works"
-        )
     return [Partition(parts) for parts in _descending_parts(n)]
 
 
@@ -169,13 +180,14 @@ class ClassOrder:
 def class_order(t: CycleType) -> ClassOrder:
     """Size of the class with cycle structure t.
 
-    n! divided by the product of i^alpha_i * alpha_i!, all exact integers
-    (0! = 1, so absent cycle lengths contribute nothing).
+    n! divided by the product of i^alpha_i * alpha_i!, all exact integers;
+    absent cycle lengths (alpha_i = 0) contribute 1 and are skipped.
     """
     n = t.degree
     denominator = 1
     for i, a in enumerate(t.alpha, start=1):
-        denominator *= i**a * math.factorial(a)
+        if a:
+            denominator *= i**a * math.factorial(a)
     order = math.factorial(n) // denominator
     return ClassOrder(degree=n, cycle_type=t, order=order)
 
@@ -199,4 +211,10 @@ def cycle_types_of(n: int) -> list[CycleType]:
     """
     if n < 1:
         raise InvariantViolationError("S_n needs n >= 1")
-    return [partition_to_cycle_type(p) for p in enumerate_partitions(n)]
+    types = []
+    for parts in _descending_parts(n):
+        alpha = [0] * n
+        for length in parts:
+            alpha[length - 1] += 1
+        types.append(CycleType(n, tuple(alpha)))
+    return types

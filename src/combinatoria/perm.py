@@ -9,9 +9,16 @@ Conventions, fixed once for the whole package:
 - Cycle notation lists every cycle, 1-cycles included, each cycle rotated so
   its smallest point comes first, cycles ordered by smallest point:
   ``(1)(3)(5)(246)``.
+
+Validation happens at the edges only: the public constructors and parsers
+(``Permutation(...)``, ``parse_one_line``, ``parse_cycles``, ``from_cycles``)
+check every input, and results the package computes from already checked
+permutations (products, inverses, enumerations) are trusted and built
+without re-checking.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -79,6 +86,21 @@ class Permutation:
         return f"Permutation({self.image!r})"
 
 
+_new_object = object.__new__
+_set_image = Permutation.image.__set__
+
+
+def _trusted(image: tuple[int, ...]) -> Permutation:
+    """A Permutation over an image already known to be a bijection of 1..n.
+
+    Skips ``__post_init__``; only results computed from checked data may
+    come through here.
+    """
+    p = _new_object(Permutation)
+    _set_image(p, image)
+    return p
+
+
 @dataclass(frozen=True, slots=True)
 class Cycle:
     """A cycle of distinct points, stored with the smallest point first.
@@ -126,11 +148,11 @@ class CycleType:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        if len(self.alpha) != self.degree or any(a < 0 for a in self.alpha):
+        if len(self.alpha) != self.degree or min(self.alpha) < 0:
             raise InvariantViolationError(
                 f"alpha must be {self.degree} non-negative counts, got {self.alpha}"
             )
-        weighted = sum(i * a for i, a in enumerate(self.alpha, start=1))
+        weighted = sum(map(operator.mul, range(1, self.degree + 1), self.alpha))
         if weighted != self.degree:
             raise InvariantViolationError(
                 f"sum of i*alpha_i is {weighted}, expected the degree {self.degree}"
@@ -183,7 +205,7 @@ def identity(n: int) -> Permutation:
     """
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    return Permutation(tuple(range(1, n + 1)))
+    return _trusted(tuple(range(1, n + 1)))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -196,14 +218,14 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
         raise DegreeMismatchError(
             f"cannot compose degree {p.degree} with degree {q.degree}"
         )
-    return Permutation(tuple(p.image[x - 1] for x in q.image))
+    return _trusted(tuple(p.image[x - 1] for x in q.image))
 
 
 def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.degree
     for i, x in enumerate(p.image, start=1):
         inv[x - 1] = i
-    return Permutation(tuple(inv))
+    return _trusted(tuple(inv))
 
 
 def cycle_decomposition(p: Permutation) -> list[Cycle]:
@@ -230,9 +252,21 @@ def cycle_decomposition(p: Permutation) -> list[Cycle]:
 
 def cycle_type(p: Permutation) -> CycleType:
     """The vector counting i-cycles of p."""
-    return CycleType.from_cycle_lengths(
-        p.degree, (c.length for c in cycle_decomposition(p))
-    )
+    image = p.image
+    n = len(image)
+    seen = [False] * (n + 1)
+    alpha = [0] * n
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            length += 1
+            x = image[x - 1]
+        alpha[length - 1] += 1
+    return CycleType(n, tuple(alpha))
 
 
 def fixed_points(p: Permutation) -> frozenset[int]:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .caput import CaputSpec, HeadMode, count_caput
 from .errors import EnumerationTooLargeError, InvalidDegreeError, InvariantViolationError
-from .perm import Permutation
+from .perm import Permutation, _trusted
 
 __all__ = [
     "ProblemResult",
@@ -114,7 +114,7 @@ def canonical_vicinity(arrangement: Permutation | Sequence[int]) -> Permutation:
     image = arrangement.image if isinstance(arrangement, Permutation) else tuple(arrangement)
     p = Permutation(image)  # validates the arrangement
     k = p.image.index(1)
-    return Permutation(p.image[k:] + p.image[:k])
+    return _trusted(p.image[k:] + p.image[:k])
 
 
 def vicinity_classes(n: int) -> list[Permutation]:
@@ -129,10 +129,7 @@ def vicinity_classes(n: int) -> list[Permutation]:
             f"materializing ({n}-1)! class representatives exceeds the ceiling "
             f"{VICINITY_CLASS_CEILING}; vicinity_variations({n}) still counts them"
         )
-    return [
-        Permutation((1,) + rest)
-        for rest in itertools.permutations(range(2, n + 1))
-    ]
+    return [_trusted((1,) + rest) for rest in itertools.permutations(range(2, n + 1))]
 
 
 def problem7_product(n: int, head_size: int) -> int:

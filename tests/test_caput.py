@@ -1,5 +1,8 @@
 import itertools
 import math
+import time
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given
@@ -35,9 +38,8 @@ FIXED_A_ROWS = [
 ]
 
 
-def brute_count(n: int, head: frozenset[int], mode: HeadMode) -> int:
-    """Test-local filtration oracle over raw tuples."""
-    total = 0
+def brute_images(n: int, head: frozenset[int], mode: HeadMode):
+    """Test-local filtration oracle over raw tuples, in lex order."""
     for image in all_perms(n):
         fixed = naive_fixed_points(image)
         if mode is HeadMode.LOOSE:
@@ -46,8 +48,12 @@ def brute_count(n: int, head: frozenset[int], mode: HeadMode) -> int:
             ok = fixed == head
         else:
             ok = {image[i - 1] for i in head} == set(head)
-        total += ok
-    return total
+        if ok:
+            yield image
+
+
+def brute_count(n: int, head: frozenset[int], mode: HeadMode) -> int:
+    return sum(1 for _ in brute_images(n, head, mode))
 
 
 class TestSpec:
@@ -204,6 +210,46 @@ class TestEnumerate:
         with pytest.raises(EnumerationTooLargeError, match="12"):
             enumerate_caput(CaputSpec(degree=13))
 
+    @pytest.mark.parametrize("mode", list(HeadMode))
+    def test_every_head_in_lex_order_up_to_s7(self, mode):
+        # covers SETWISE heads of three and more runs, such as {2, 4, 6}
+        for n in range(1, 8):
+            for r in range(n + 1):
+                for head in itertools.combinations(range(1, n + 1), r):
+                    spec = CaputSpec(degree=n, head=frozenset(head), mode=mode)
+                    got = [p.image for p in enumerate_caput(spec)]
+                    assert got == list(brute_images(n, frozenset(head), mode)), (n, head)
+
+    def test_exact_stream_does_not_stall_on_rejects(self):
+        # A plain fixed-point filter over S_12 in lex order would reject the
+        # 11! arrangements that keep 1 in place before its first item.
+        start = time.process_time()
+        stream = enumerate_caput(CaputSpec(degree=12, mode=HeadMode.EXACT))
+        first = [p.image for p in itertools.islice(stream, 2)]
+        assert time.process_time() - start < 1.0
+        assert first == [
+            (2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11),
+            (2, 1, 4, 3, 6, 5, 8, 7, 10, 11, 12, 9),
+        ]
+
+    def test_setwise_stream_does_not_materialize(self):
+        # the free run after a one-point head holds 9! arrangements
+        spec = CaputSpec(degree=10, head=frozenset({1}), mode=HeadMode.SETWISE)
+        tracemalloc.start()
+        try:
+            first = [p.image for p in itertools.islice(enumerate_caput(spec), 2)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [tuple(range(1, 11)), (1, 2, 3, 4, 5, 6, 7, 8, 10, 9)]
+        assert peak < 1_000_000
+
+    def test_is_a_real_generator(self):
+        for mode in HeadMode:
+            for head in (frozenset(), frozenset({2}), frozenset({1, 3})):
+                stream = enumerate_caput(CaputSpec(degree=4, head=head, mode=mode))
+                assert isinstance(stream, types.GeneratorType)
+
 
 class TestDerangements:
     @pytest.mark.parametrize("m,expected", [(0, 1), (1, 0), (2, 1), (3, 2), (4, 9)])
@@ -229,6 +275,21 @@ class TestDerangements:
     def test_negative_rejected(self):
         with pytest.raises(InvariantViolationError):
             derangements(-1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 10, 500])
+    def test_recurrence_matches_inclusion_exclusion(self, m):
+        assert derangements(m) == derangements_by_inclusion_exclusion(m)
+
+    def test_memory_stays_flat_in_m(self):
+        # D(10000) has 35660 digits, some 15 KB; keeping every D(k) up to
+        # it takes 71 MB
+        tracemalloc.start()
+        try:
+            derangements(10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestIsCaputOf:
