@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import genealogy as genealogy_mod
 from . import oracle as oracle_mod
@@ -71,7 +71,8 @@ def _parse_problem_id(text: str):
 # -- subcommand handlers --------------------------------------------------------
 # Each returns (result: dict for the JSON envelope, header, rows, exit_code).
 # Counts inside `result` are decimal strings; `rows` carry ints so the CSV
-# writer leaves them unquoted.
+# writer leaves them unquoted.  `caput enumerate` and `genealogy coords`
+# return `rows` as a generator, so --format json never builds a table row.
 
 def _cmd_perm(args) -> tuple[dict, list[str], list[list], int]:
     p = parse_permutation(args.p)
@@ -159,7 +160,7 @@ def _caput_echo(spec: CaputSpec) -> dict:
     }
 
 
-def _cmd_caput(args) -> tuple[dict, list[str], list[list], int]:
+def _cmd_caput(args) -> tuple[dict, list[str], Iterable[list], int]:
     spec = _caput_spec_from_args(args)
     if args.caput_op == "count":
         count = count_caput(spec)
@@ -172,7 +173,7 @@ def _cmd_caput(args) -> tuple[dict, list[str], list[list], int]:
         "count": str(len(perms)),
         "permutations": [format_one_line(p) for p in perms],
     }
-    rows = [[format_one_line(p), format_cycles(p), str(cycle_type(p))] for p in perms]
+    rows = ([format_one_line(p), format_cycles(p), str(cycle_type(p))] for p in perms)
     return result, ["one_line", "cycles", "cycle_type"], rows, 0
 
 
@@ -229,7 +230,7 @@ def _cmd_problems(args) -> tuple[dict, list[str], list[list], int]:
     return result, ["problem_id", "status", "direct_count", "caput_count", "agrees"], rows, 0
 
 
-def _cmd_genealogy(args) -> tuple[dict, list[str], list[list], int]:
+def _cmd_genealogy(args) -> tuple[dict, list[str], Iterable[list], int]:
     if args.genealogy_op == "personae":
         model = genealogy_mod.GradusModel(args.gradus)
         count = genealogy_mod.personae_count(args.gradus)
@@ -249,7 +250,7 @@ def _cmd_genealogy(args) -> tuple[dict, list[str], list[list], int]:
             "count": str(len(coords)),
             "coordinates": [[c.antecedens, c.sequens] for c in coords],
         }
-        rows = [[c.antecedens, c.sequens] for c in coords]
+        rows = ([c.antecedens, c.sequens] for c in coords)
         return result, ["antecedens", "sequens"], rows, 0
     count = genealogy_mod.discerptiones_two(args.n)
     result = {"cognationes": args.n, "two_part_count": str(count)}
@@ -283,7 +284,7 @@ def render_json(command: str, result: dict) -> str:
     return json.dumps(envelope, indent=2, ensure_ascii=False)
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
+def render_csv(header: list[str], rows: Iterable[list]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(header)
@@ -291,7 +292,7 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue().rstrip("\n")
 
 
-def render_human(header: list[str], rows: list[list]) -> str:
+def render_human(header: list[str], rows: Iterable[list]) -> str:
     table = [header] + [[str(cell) for cell in row] for row in rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = []

@@ -8,8 +8,11 @@ closed forms under test are reached through their modules (``partitions.X``,
 
 Speed is a non-goal; the enumerations are merely kept single-pass so the
 full sweep stays inside its time budget.  One walk of S_n per degree, cached,
-feeds every census: cycle types, fixed points and invariant sets (so every
-head subset is checked at every degree), derangements and rotation classes.
+feeds every census: it counts the permutations by their partition of the
+points into cycles, off which cycle types, fixed points and invariant sets
+(so every head subset is checked at every degree) and derangements are read,
+and it collects the rotation classes.  The genealogy check streams each
+gradus once, counting the coordinates and checking their lexicographic order.
 
 Each check yields its counterexamples; ``verify_all`` reports the first one
 of each, or a pass.
@@ -17,6 +20,7 @@ of each, or a pass.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,32 +106,37 @@ class _Census(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> _Census:
-    # One walk over S_n.  cycle_types counts each multiset of cycle lengths;
-    # fixed[m] counts the permutations whose fixed points are exactly the
-    # mask m; invariant[m] those for which m is a union of cycles (each
-    # permutation adds its 2^c unions, (n+1)! entries in all); rotations holds
-    # each arrangement rotated to put 1 first.
+    # One walk over S_n counts each partition of the points into cycles (the
+    # cycles listed by least point, so the key is canonical; Bell(n) keys,
+    # 4140 at n = 8) and keeps each arrangement rotated to put 1 first.  The
+    # other fields are read off the partitions, each weighted by its count:
+    # cycle_types counts each multiset of cycle lengths; fixed[m] counts the
+    # permutations whose fixed points are exactly the mask m; invariant[m]
+    # those for which m is a union of cycles.
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
     if n > SN_CEILING:
         raise EnumerationTooLargeError(
             f"walking S_{n} exceeds the ceiling {SN_CEILING}"
         )
-    cycle_types, fixed, invariant, rotations = Counter(), Counter(), Counter(), set()
+    by_partition: Counter[tuple[tuple[int, int], ...]] = Counter()
+    rotations = set()
     for image in itertools.permutations(range(1, n + 1)):
-        lengths = []
+        by_partition[tuple(_own_cycles(image))] += 1
+        k = image.index(1)
+        rotations.add(image[k:] + image[:k])
+    cycle_types, fixed, invariant = Counter(), Counter(), Counter()
+    for cycles, count in by_partition.items():
         fixed_mask = 0
         unions = [0]
-        for length, mask in _own_cycles(image):
-            lengths.append(length)
+        for length, mask in cycles:
             if length == 1:
                 fixed_mask |= mask
             unions += [u | mask for u in unions]
-        cycle_types[tuple(sorted(lengths, reverse=True))] += 1
-        fixed[fixed_mask] += 1
-        invariant.update(unions)
-        k = image.index(1)
-        rotations.add(image[k:] + image[:k])
+        cycle_types[tuple(sorted((length for length, _ in cycles), reverse=True))] += count
+        fixed[fixed_mask] += count
+        for union in unions:
+            invariant[union] += count
     return _Census(cycle_types, fixed, invariant, frozenset(rotations))
 
 
@@ -278,14 +287,22 @@ def _check_derangements(top: int) -> Iterator[str]:
                    f"{alternating}, census {filtered}")
 
 
+_pair = operator.attrgetter("antecedens", "sequens")
+
+
 def _check_genealogy(top: int) -> Iterator[str]:
+    # One streamed pass per gradus: the list is freed before the next one is
+    # built, and strictly increasing pairs are distinct without a set.
     for n in range(0, top + 1):
-        coords = genealogy.coordinates(n)
         closed = genealogy.personae_count(n)
-        pairs = {(c.antecedens, c.sequens) for c in coords}
-        if len(coords) != closed or len(pairs) != len(coords):
-            yield (f"gradus={n}: count {closed}, listed {len(coords)}, "
-                   f"distinct {len(pairs)}")
+        listed = 0
+        previous = ()  # sorts before every pair
+        for listed, pair in enumerate(map(_pair, genealogy.coordinates(n)), start=1):
+            if pair <= previous:
+                yield f"gradus={n}: {pair} listed after {previous}"
+            previous = pair
+        if listed != closed:
+            yield f"gradus={n}: count {closed}, listed {listed}, distinct {listed}"
 
 
 # (claim, range label up to its top, top as a function of max_n, check)

@@ -22,7 +22,12 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegreeMismatchError, InvalidDegreeError, InvariantViolationError
+from .errors import (
+    DegreeMismatchError,
+    EnumerationTooLargeError,
+    InvalidDegreeError,
+    InvariantViolationError,
+)
 
 __all__ = [
     "Permutation",
@@ -42,7 +47,12 @@ __all__ = [
     "format_cycles",
     "point_to_symbol",
     "symbol_to_point",
+    "DEGREE_CEILING",
 ]
+
+# from_cycles builds an image of `degree` points; cycle text such as
+# ``(1 99999999999)`` names its degree in a few characters.
+DEGREE_CEILING = 100_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,7 +290,8 @@ def from_cycles(
     """Rebuild a permutation from disjoint cycles.
 
     Points absent from every cycle are fixed.  When ``degree`` is omitted it
-    is the largest point mentioned.
+    is the largest point mentioned; a degree above ``DEGREE_CEILING`` is
+    refused before the image is built.
     """
     cycle_list = [c.points if isinstance(c, Cycle) else tuple(c) for c in cycles]
     mentioned = [x for c in cycle_list for x in c]
@@ -289,6 +300,10 @@ def from_cycles(
     if len(set(mentioned)) != len(mentioned):
         raise InvariantViolationError("cycles are not disjoint")
     n = degree if degree is not None else max(mentioned)
+    if n > DEGREE_CEILING:
+        raise EnumerationTooLargeError(
+            f"building a permutation of degree {n} exceeds the ceiling {DEGREE_CEILING}"
+        )
     image = list(range(1, n + 1))
     for pts in cycle_list:
         for x in pts:
@@ -356,7 +371,10 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
         if not chunk:
             raise InvariantViolationError(f"empty cycle in {text!r}")
         if "," in chunk or " " in chunk:
-            pts = tuple(int(s) for s in chunk.replace(",", " ").split())
+            try:
+                pts = tuple(int(s) for s in chunk.replace(",", " ").split())
+            except ValueError:
+                raise InvariantViolationError(f"non-integer point in {text!r}") from None
         elif chunk.isdigit():
             pts = tuple(int(ch) for ch in chunk)
         else:

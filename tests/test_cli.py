@@ -1,14 +1,22 @@
+import contextlib
 import csv
 import decimal
 import io
 import json
 import math
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import combinatoria.cli as cli_mod
+from combinatoria.caput import DEFAULT_ENUMERATION_CEILING as CAPUT_CEILING
 from combinatoria.cli import main
+from combinatoria.genealogy import COORDINATE_CEILING
 from combinatoria.partitions import COUNTING_CEILING
+from combinatoria.partitions import DEFAULT_ENUMERATION_CEILING as PARTITION_CEILING
 
 
 def run(capsys, *argv):
@@ -96,6 +104,15 @@ class TestCaputCommand:
         assert perms == sorted(perms)
         assert len(perms) == 6
 
+    def test_json_listing_formats_no_table_rows(self, capsys, monkeypatch):
+        def unused(p):
+            raise AssertionError("a table row was formatted for --format json")
+
+        monkeypatch.setattr(cli_mod, "format_cycles", unused)
+        code, payload, _ = run_json(capsys, "caput", "enumerate", "--n", "5")
+        assert code == 0
+        assert payload["result"]["count"] == "120"
+
     def test_displaced_head_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "caput", "count", "--n", "4", "--head", "1=b")
         assert code == 2
@@ -121,6 +138,13 @@ class TestPermCommand:
     def test_degree_mismatch_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "perm", "compose", "[1,2]", "[1,2,3]")
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["(1,x)", "(1 99999999999)"])
+    def test_unreadable_or_oversized_cycle_text_is_a_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "perm", "cycles", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("combinatoria: error:")
 
 
 class TestProblemsCommand:
@@ -262,3 +286,101 @@ class TestEnvironmentDefault:
         code, out, _ = run(capsys, "partitions", "count", "--n", "6")
         assert code == 0
         assert out.splitlines()[0].startswith("n")
+
+
+# -- every subcommand but verify, over drawn argv ----------------------------------
+# Sizes stay below the sizes whose answers take long to build or print, or
+# jump past the ceiling that refuses them, so no example starts a huge
+# enumeration.
+
+def _size(top: int, refused_past: int | None = None):
+    """Integer text in -2..top or past the ceiling, or text that is no integer."""
+    drawn = st.integers(min_value=-2, max_value=top)
+    if refused_past is not None:
+        drawn |= st.integers(min_value=refused_past + 1, max_value=10**40)
+    return drawn.map(str) | st.sampled_from(["", "x", "1.5", "0x10"])
+
+
+_PERM_TEXT = (
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.permutations(range(1, n + 1))
+    ).map(lambda image: "[" + ",".join(map(str, image)) + "]")
+    | st.lists(
+        st.lists(st.integers(min_value=-1, max_value=12), min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ).map(lambda cycles: "".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
+    | st.lists(
+        st.lists(st.sampled_from(["1", "2", "3", "x", "-1", "99999999999"]), min_size=1),
+        min_size=1, max_size=3,
+    ).map(lambda cycles: "".join("(" + " ".join(c) + ")" for c in cycles))
+    | st.text(alphabet="[](), 0123456789x", max_size=12)
+)
+
+_HEAD_TEXT = (
+    st.lists(
+        st.tuples(st.integers(min_value=-1, max_value=8), st.sampled_from("abcdefgh123")),
+        max_size=4,
+    ).map(lambda pairs: ",".join(f"{pos}={sym}" for pos, sym in pairs))
+    | st.text(alphabet="1234=abc, ", max_size=8)
+)
+
+_MODE = st.sampled_from(["loose", "exact", "setwise", "bogus"])
+
+_PROBLEM_ID = st.sampled_from(
+    [str(i) for i in range(-1, 14)] + ["simpliciter", "SIMPLICITER", "nope", ""]
+)
+
+def _problem(op: str):
+    flags = st.tuples(
+        _PROBLEM_ID, _size(8), st.none() | _size(9),
+        st.booleans() if op == "solve" else st.just(False),
+    )
+    return flags.map(lambda f: [
+        "problems", op, "--id", f[0], "--n", f[1],
+        *([] if f[2] is None else ["--k", f[2]]),
+        *(["--witnesses"] if f[3] else []),
+    ])
+
+
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["inverse", "cycles"]), _PERM_TEXT).map(
+        lambda t: ["perm", t[0], t[1]]
+    ),
+    st.tuples(_PERM_TEXT, _PERM_TEXT).map(lambda t: ["perm", "compose", *t]),
+    _size(3000, COUNTING_CEILING).map(lambda n: ["partitions", "count", "--n", n]),
+    _size(30, PARTITION_CEILING).map(lambda n: ["partitions", "list", "--n", n]),
+    _size(10**40).map(lambda n: ["partitions", "two-part", "--n", n]),
+    _size(20, PARTITION_CEILING).map(lambda n: ["classes", "--n", n]),
+    st.tuples(_size(200), _HEAD_TEXT, _MODE).map(
+        lambda t: ["caput", "count", "--n", t[0], "--head", t[1], "--mode", t[2]]
+    ),
+    st.tuples(_size(6, CAPUT_CEILING), _HEAD_TEXT, _MODE).map(
+        lambda t: ["caput", "enumerate", "--n", t[0], "--head", t[1], "--mode", t[2]]
+    ),
+    _problem("solve"),
+    _problem("reduce"),
+    _size(2000).map(lambda g: ["genealogy", "personae", "--gradus", g]),
+    _size(8, COORDINATE_CEILING).map(lambda g: ["genealogy", "coords", "--gradus", g]),
+    _size(10**40).map(lambda n: ["genealogy", "discerptiones", "--n", n]),
+    st.lists(
+        st.sampled_from(
+            ["perm", "partitions", "classes", "caput", "problems", "genealogy",
+             "count", "list", "enumerate", "solve", "coords", "--n", "--id", "3", "-1"]
+        ),
+        max_size=5,
+    ),
+)
+
+
+class TestArgvProperty:
+    @settings(max_examples=300, deadline=timedelta(seconds=2))
+    @given(argv=_ARGV, fmt=st.sampled_from(["human", "json", "csv"]))
+    def test_exit_code_is_0_or_2_and_json_parses(self, argv, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--format", fmt])
+        assert code in (0, 2), err.getvalue()
+        if code == 0 and fmt == "json":
+            json.loads(out.getvalue())
+        if code == 2:
+            assert err.getvalue()

@@ -1,9 +1,13 @@
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 import combinatoria.caput as caput_mod
 import combinatoria.genealogy as genealogy_mod
+import combinatoria.oracle as oracle_mod
 import combinatoria.partitions as partitions_mod
 import combinatoria.problems as problems_mod
 from combinatoria.caput import HeadMode
@@ -25,6 +29,8 @@ from combinatoria.oracle import (
     verify_all,
 )
 from combinatoria.partitions import ClassOrder
+
+from conftest import all_perms, naive_fixed_points
 
 
 class TestEnumerateSn:
@@ -90,6 +96,40 @@ class TestFilterCounters:
     def test_rotation_census_of_s4(self):
         assert len(rotation_class_census(4)) == 6
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_censuses_match_a_raw_filter(self, n):
+        # the reference walks every permutation itself and tests each head
+        # against it, where the census counts cycle partitions
+        points = range(1, n + 1)
+        heads = [
+            frozenset(c) for k in range(n + 1) for c in itertools.combinations(points, k)
+        ]
+        cycle_types, head_counts, rotations = Counter(), Counter(), set()
+        for image in all_perms(n):
+            seen, lengths = set(), []
+            for start in points:
+                x, length = start, 0
+                while x not in seen:
+                    seen.add(x)
+                    x = image[x - 1]
+                    length += 1
+                if length:
+                    lengths.append(length)
+            cycle_types[tuple(sorted(lengths, reverse=True))] += 1
+            fixed = naive_fixed_points(image)
+            for head in heads:
+                head_counts[head, HeadMode.LOOSE] += head <= fixed
+                head_counts[head, HeadMode.EXACT] += head == fixed
+                head_counts[head, HeadMode.SETWISE] += {image[i - 1] for i in head} == head
+            k = image.index(1)
+            rotations.add(image[k:] + image[:k])
+        assert cycle_type_census(n) == cycle_types
+        for head in heads:
+            for mode in HeadMode:
+                assert count_caput_by_filter(n, head, mode) == head_counts[head, mode]
+        assert count_derangements_by_filter(n) == head_counts[frozenset(), HeadMode.EXACT]
+        assert rotation_class_census(n) == rotations
+
     @pytest.mark.parametrize(
         "census",
         [
@@ -126,6 +166,18 @@ class TestVerifyAll:
     def test_deterministic(self):
         assert verify_all(4) == verify_all(4)
 
+    def test_genealogy_check_holds_one_gradus_at_a_time(self):
+        tracemalloc.start()
+        try:
+            genealogy_mod.coordinates(12)
+            alone = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert next(oracle_mod._check_genealogy(12), None) is None
+            checked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert checked < 1.5 * alone
+
     def test_out_of_range(self):
         with pytest.raises(EnumerationTooLargeError):
             verify_all(9)
@@ -133,9 +185,13 @@ class TestVerifyAll:
             verify_all(-1)
 
 
-# One corrupted closed form per suite that the class-order and head-count
-# cases below leave out: (module, name, corruption of the true function,
-# max_n, {failed claim: counterexample}).
+def _swap_adjacent(items: list, i: int) -> list:
+    return items[:i] + [items[i + 1], items[i]] + items[i + 2:]
+
+
+# One corrupted function per suite that the class-order and head-count cases
+# below leave out: (module, name, corruption of the true function, max_n,
+# {failed claim: counterexample}).
 MUTATIONS = {
     "count_partitions": (
         partitions_mod, "count_partitions", lambda f: lambda n: f(n) + (n == 5), 2,
@@ -152,6 +208,14 @@ MUTATIONS = {
                 "n=4, head [], mode exact: closed form 10, filter 9",
             "derangement numbers vs fixed-point-free census":
                 "m=4: recurrence 10, inclusion-exclusion 9, census 9",
+        },
+    ),
+    "coordinates": (
+        genealogy_mod, "coordinates",
+        lambda f: lambda g: _swap_adjacent(f(g), 3) if g == 3 else f(g), 2,
+        {
+            "person count vs coordinate materialization":
+                "gradus=3: (0, 3) listed after (1, 0)",
         },
     ),
     "personae_count": (

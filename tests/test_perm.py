@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from combinatoria.errors import (
     DegreeMismatchError,
+    EnumerationTooLargeError,
     InvalidDegreeError,
     InvariantViolationError,
 )
 from combinatoria.perm import (
+    DEGREE_CEILING,
     Cycle,
     CycleType,
     Permutation,
@@ -228,10 +230,21 @@ class TestTextFormats:
         assert "(2,4,10)" in text
         assert parse_cycles(text) == p
 
-    @pytest.mark.parametrize("bad", ["", "[]", "1,2,3", "(12", "[1,x]", "()"])
+    @pytest.mark.parametrize(
+        "bad", ["", "[]", "1,2,3", "(12", "[1,x]", "()", "(1,x)", "(2 y)"]
+    )
     def test_unreadable_input_raises(self, bad):
         with pytest.raises((InvariantViolationError, InvalidDegreeError)):
             parse_permutation(bad)
+
+    def test_cycle_text_past_the_degree_ceiling_is_refused(self):
+        assert parse_cycles(f"(1 {DEGREE_CEILING})").degree == DEGREE_CEILING
+        with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):
+            parse_cycles(f"(1 {DEGREE_CEILING + 1})")
+        with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):
+            parse_cycles("(1 99999999999)")
+        with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):
+            from_cycles([(1, 2)], degree=10**12)
 
 
 class TestSymbols:
