@@ -26,10 +26,11 @@ from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
-    EnumerationTooLargeError,
+    CEILINGS,
     GroundSetMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
+    refuse_past,
 )
 from .perm import Permutation, _trusted, point_to_symbol, symbol_to_point
 
@@ -45,8 +46,7 @@ __all__ = [
     "DEFAULT_ENUMERATION_CEILING",
 ]
 
-# 12! streams fine; past that only the closed-form counts are offered.
-DEFAULT_ENUMERATION_CEILING = 12
+DEFAULT_ENUMERATION_CEILING = CEILINGS["head enumeration"].limit
 
 
 class HeadMode(Enum):
@@ -208,11 +208,7 @@ def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
       run like an odometer (Knuth, TAOCP 4A, 7.2.1.2); the last two runs
       take all that is left of their classes.
     """
-    if spec.degree > DEFAULT_ENUMERATION_CEILING:
-        raise EnumerationTooLargeError(
-            f"enumerating S_{spec.degree} exceeds the ceiling "
-            f"{DEFAULT_ENUMERATION_CEILING}; count_caput still works at any degree"
-        )
+    refuse_past("head enumeration", spec.degree)
     return _stream(spec.degree, spec.head, spec.mode)
 
 

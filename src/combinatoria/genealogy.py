@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationTooLargeError, InvariantViolationError
+from .errors import CEILINGS, InvariantViolationError, refuse_past
 from .partitions import two_part_count
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
 
 LAYOUT_VERSION = "reconstructed-v1"
 
-# 2^20 * 21 coordinates is the materialization limit.
-COORDINATE_CEILING = 20
+COORDINATE_CEILING = CEILINGS["coordinate listing"].limit
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -94,10 +93,6 @@ def coordinates(gradus: int) -> list[TreeCoordinate]:
     whenever a < b and both occur.  The list length is personae_count(gradus).
     """
     model = GradusModel(gradus)
-    if model.gradus > COORDINATE_CEILING:
-        raise EnumerationTooLargeError(
-            f"materializing 2^{model.gradus} * {model.cognationes} coordinates "
-            f"exceeds the ceiling {COORDINATE_CEILING}; personae_count still works"
-        )
+    refuse_past("coordinate listing", model.gradus)
     pairs = itertools.product(range(2**model.gradus), range(model.cognationes))
     return list(itertools.starmap(TreeCoordinate, pairs))

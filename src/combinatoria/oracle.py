@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import caput, genealogy, partitions, problems
 from .caput import HeadMode
-from .errors import EnumerationTooLargeError, InvalidDegreeError, InvariantViolationError
+from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past
 from .perm import Permutation
 
 __all__ = [
@@ -44,8 +44,7 @@ __all__ = [
     "SN_CEILING",
 ]
 
-# 9! = 362880 streamed elements is the hard stop.
-SN_CEILING = 9
+SN_CEILING = CEILINGS["S_n walk"].limit
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,7 @@ def enumerate_sn(n: int) -> Iterator[Permutation]:
     """Every element of S_n exactly once, lexicographic one-line order."""
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    if n > SN_CEILING:
-        raise EnumerationTooLargeError(
-            f"streaming S_{n} exceeds the ceiling {SN_CEILING}"
-        )
+    refuse_past("S_n walk", n)
     for image in itertools.permutations(range(1, n + 1)):
         yield Permutation(image)
 
@@ -115,10 +111,7 @@ def _census(n: int) -> _Census:
     # those for which m is a union of cycles.
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    if n > SN_CEILING:
-        raise EnumerationTooLargeError(
-            f"walking S_{n} exceeds the ceiling {SN_CEILING}"
-        )
+    refuse_past("S_n walk", n)
     by_partition: Counter[tuple[tuple[int, int], ...]] = Counter()
     rotations = set()
     for image in itertools.permutations(range(1, n + 1)):
@@ -336,10 +329,7 @@ def verify_all(max_n: int) -> list[OracleReport]:
     """
     if max_n < 0:
         raise InvariantViolationError("max_n must be >= 0")
-    if max_n > 8:
-        raise EnumerationTooLargeError(
-            f"full verification sweeps are capped at max_n=8, got {max_n}"
-        )
+    refuse_past("verify sweep", max_n)
     reports = []
     for claim, label, top_of, check in _SUITES:
         top = top_of(max_n)

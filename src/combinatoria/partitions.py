@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import EnumerationTooLargeError, InvariantViolationError
+from .errors import CEILINGS, InvariantViolationError, refuse_past
 from .perm import CycleType
 
 __all__ = [
@@ -29,12 +29,8 @@ __all__ = [
     "COUNTING_CEILING",
 ]
 
-# p(120) is ~1.8e6 partitions: still materializable.
-DEFAULT_ENUMERATION_CEILING = 120
-
-# p(n) fills a table of n + 1 exact integers: p(100000) takes about 10 s and
-# 28 MB, and the cost grows faster than n past it.
-COUNTING_CEILING = 100_000
+DEFAULT_ENUMERATION_CEILING = CEILINGS["partition listing"].limit
+COUNTING_CEILING = CEILINGS["partition count"].limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,11 +69,7 @@ def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
     # order in constant amortized time.  x[:m] is the current partition and
     # h the index of its last part above 1; each step lowers x[h] by one
     # and spreads the parts of size 1 behind it in parts of that size.
-    if n > DEFAULT_ENUMERATION_CEILING:
-        raise EnumerationTooLargeError(
-            f"enumerating partitions of {n} exceeds the ceiling "
-            f"{DEFAULT_ENUMERATION_CEILING}; count_partitions({n}) still works"
-        )
+    refuse_past("partition listing", n)
     if n == 0:
         yield ()
         return
@@ -130,11 +122,7 @@ def count_partitions(n: int) -> int:
     """Exact p(n): p(0) = 1, p(6) = 11, p(100) = 190569292."""
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
-    if n > COUNTING_CEILING:
-        raise EnumerationTooLargeError(
-            f"counting partitions of n above the ceiling {COUNTING_CEILING} is "
-            f"refused; two_part_count still works at any n"
-        )
+    refuse_past("partition count", n)
     with _pn_lock:
         while len(_pn_table) <= n:
             m = len(_pn_table)

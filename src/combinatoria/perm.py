@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
+    CEILINGS,
     DegreeMismatchError,
-    EnumerationTooLargeError,
     InvalidDegreeError,
     InvariantViolationError,
+    refuse_past,
 )
 
 __all__ = [
@@ -50,9 +51,7 @@ __all__ = [
     "DEGREE_CEILING",
 ]
 
-# from_cycles builds an image of `degree` points; cycle text such as
-# ``(1 99999999999)`` names its degree in a few characters.
-DEGREE_CEILING = 100_000
+DEGREE_CEILING = CEILINGS["cycle degree"].limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,10 +299,7 @@ def from_cycles(
     if len(set(mentioned)) != len(mentioned):
         raise InvariantViolationError("cycles are not disjoint")
     n = degree if degree is not None else max(mentioned)
-    if n > DEGREE_CEILING:
-        raise EnumerationTooLargeError(
-            f"building a permutation of degree {n} exceeds the ceiling {DEGREE_CEILING}"
-        )
+    refuse_past("cycle degree", n)
     image = list(range(1, n + 1))
     for pts in cycle_list:
         for x in pts:
@@ -311,7 +307,10 @@ def from_cycles(
                 raise InvariantViolationError(f"point {x} outside 1..{n}")
         for i, x in enumerate(pts):
             image[x - 1] = pts[(i + 1) % len(pts)]
-    return Permutation(tuple(image))
+    if n < 1:
+        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    # disjoint cycles of points in 1..n, every other point fixed: a bijection
+    return _trusted(tuple(image))
 
 
 # -- textual round-trip formats ----------------------------------------------

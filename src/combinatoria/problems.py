@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .caput import CaputSpec, HeadMode, count_caput
-from .errors import EnumerationTooLargeError, InvalidDegreeError, InvariantViolationError
+from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past
 from .perm import Permutation, _trusted
 
 __all__ = [
@@ -38,8 +38,7 @@ __all__ = [
     "VICINITY_CLASS_CEILING",
 ]
 
-# (n-1)! representatives are materialized as a list; 9! is the comfort limit.
-VICINITY_CLASS_CEILING = 10
+VICINITY_CLASS_CEILING = CEILINGS["vicinity listing"].limit
 
 SIMPLICITER = "simpliciter"
 
@@ -58,8 +57,6 @@ PROBLEM_TITLES: dict[int | str, str] = {
     12: "not specified in source",
     SIMPLICITER: "all complexions of a whole, every exponent at once",
 }
-
-_SOLVABLE = {1, 2, 3, 4, 5, 7, SIMPLICITER}
 
 
 def complexions(n: int, k: int) -> int:
@@ -124,12 +121,13 @@ def vicinity_classes(n: int) -> list[Permutation]:
     """
     if n < 1:
         raise InvalidDegreeError("vicinity classes need n >= 1")
-    if n > VICINITY_CLASS_CEILING:
-        raise EnumerationTooLargeError(
-            f"materializing ({n}-1)! class representatives exceeds the ceiling "
-            f"{VICINITY_CLASS_CEILING}; vicinity_variations({n}) still counts them"
-        )
-    return [_trusted((1,) + rest) for rest in itertools.permutations(range(2, n + 1))]
+    refuse_past("vicinity listing", n)
+    return [_trusted(image) for image in _vicinity_images(n)]
+
+
+def _vicinity_images(n: int) -> Iterator[tuple[int, ...]]:
+    """The one-line images of the vicinity class representatives, in lex order."""
+    return ((1,) + rest for rest in itertools.permutations(range(2, n + 1)))
 
 
 def problem7_product(n: int, head_size: int) -> int:
@@ -187,29 +185,34 @@ class CaputReduction:
         return self.direct_count == self.caput_count
 
 
-def _witnesses_for(problem_id: int | str, n: int, k: int | None, limit: int):
-    # Streams, cut at limit + 1: only what is kept is built, and the extra
-    # item tells whether anything was cut.
-    pool = range(1, n + 1)
-    if problem_id in (1, 2, 3):
-        items = map(frozenset, itertools.combinations(pool, k))
-    elif problem_id == 4:
-        items = itertools.permutations(pool)
-    elif problem_id == 5:
-        # the vicinity_classes representatives, unmaterialized
-        items = ((1,) + rest for rest in itertools.permutations(range(2, n + 1)))
-    elif problem_id == SIMPLICITER:
-        items = (
-            frozenset(c)
-            for size in range(1, n + 1)
-            for c in itertools.combinations(pool, size)
-        )
-    else:
-        return None, False
-    kept = tuple(itertools.islice(items, limit + 1))
-    if len(kept) > limit:
-        return kept[:limit], True
-    return kept, False
+# Each solvable id: its count and its witness stream, both called with
+# (n, k), and the error when k is needed but missing.  The lambdas look the
+# functions up when called, so a rebound module name is seen.
+_COMPLEXION = (
+    lambda n, k: complexions(n, k),
+    lambda n, k: map(frozenset, itertools.combinations(range(1, n + 1), k)),
+    "complexion problems need the exponent k",
+)
+_PROBLEMS = {
+    1: _COMPLEXION,
+    2: _COMPLEXION,
+    3: _COMPLEXION,
+    4: (
+        lambda n, k: variations_of_order(n),
+        lambda n, k: itertools.permutations(range(1, n + 1)),
+        None,
+    ),
+    5: (lambda n, k: vicinity_variations(n), lambda n, k: _vicinity_images(n), None),
+    7: (lambda n, k: problem7_product(n, k), None, "problem 7 needs the head size k"),
+    SIMPLICITER: (
+        lambda n, k: complexiones_simpliciter(n),
+        # every non-empty complexion, exponent by exponent
+        lambda n, k: itertools.chain.from_iterable(
+            _COMPLEXION[1](n, size) for size in range(1, n + 1)
+        ),
+        None,
+    ),
+}
 
 
 def solve(
@@ -232,28 +235,18 @@ def solve(
     if problem_id == 10:
         # containment is a predicate, not a count: see caput.is_caput_of
         return ProblemResult(problem_id, inputs, count=None, status="not-a-counting-problem")
-    if problem_id not in _SOLVABLE:
+    if problem_id not in _PROBLEMS:
         return ProblemResult(problem_id, inputs, count=None, status="not-specified-in-source")
-
-    if problem_id in (1, 2, 3):
-        if k is None:
-            raise InvariantViolationError("complexion problems need the exponent k")
-        count = complexions(n, k)
-    elif problem_id == 4:
-        count = variations_of_order(n)
-    elif problem_id == 5:
-        count = vicinity_variations(n)
-    elif problem_id == 7:
-        if k is None:
-            raise InvariantViolationError("problem 7 needs the head size k")
-        count = problem7_product(n, k)
-    else:  # SIMPLICITER
-        count = complexiones_simpliciter(n)
-
-    witnesses = None
-    truncated = False
-    if with_witnesses:
-        witnesses, truncated = _witnesses_for(problem_id, n, k, witness_limit)
+    count_of, listing, needs_k = _PROBLEMS[problem_id]
+    if needs_k and k is None:
+        raise InvariantViolationError(needs_k)
+    count = count_of(n, k)
+    witnesses, truncated = None, False
+    if with_witnesses and listing:
+        # Streamed, cut at limit + 1: only what is kept is built, and the
+        # extra item tells whether anything was cut.
+        kept = tuple(itertools.islice(listing(n, k), witness_limit + 1))
+        witnesses, truncated = kept[:witness_limit], len(kept) > witness_limit
     return ProblemResult(problem_id, inputs, count, witnesses, truncated)
 
 

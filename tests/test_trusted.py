@@ -1,8 +1,8 @@
 """Results built without re-validation behave exactly like validated ones.
 
-compose, inverse, vicinity_classes, canonical_vicinity and enumerate_caput
-build their Permutations from already checked data without running the
-constructor's checks; TreeCoordinate has a hand-written __init__.  Each must
+compose, inverse, from_cycles (and so parse_cycles), vicinity_classes,
+canonical_vicinity and enumerate_caput build their Permutations from already
+checked data without running the constructor's checks; TreeCoordinate has a hand-written __init__.  Each must
 be indistinguishable from an object built through the public constructor.
 """
 import dataclasses
@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from combinatoria.caput import CaputSpec, HeadMode, enumerate_caput
 from combinatoria.errors import InvariantViolationError
 from combinatoria.genealogy import TreeCoordinate, coordinates
-from combinatoria.perm import Permutation, compose, identity, inverse
+from combinatoria.perm import (
+    Permutation,
+    compose,
+    format_cycles,
+    identity,
+    inverse,
+    parse_cycles,
+)
 from combinatoria.problems import canonical_vicinity, vicinity_classes
 
 
@@ -39,7 +46,9 @@ class TestTrustedPermutations:
     @given(pairs)
     def test_products_and_inverses(self, images):
         p, q = (Permutation(tuple(image)) for image in images)
-        for result in (compose(p, q), inverse(p), identity(p.degree)):
+        cycles = parse_cycles(format_cycles(q))
+        assert cycles == q
+        for result in (compose(p, q), inverse(p), identity(p.degree), cycles):
             assert_like_validated(result)
 
     @given(st.permutations(list(range(1, 15))))
