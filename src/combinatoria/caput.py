@@ -21,16 +21,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
+from ._value import Value
 from .errors import (
     CEILINGS,
     GroundSetMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
     refuse_past,
+    shown,
 )
 from .perm import Permutation, _trusted, point_to_symbol, symbol_to_point
 
@@ -55,27 +56,30 @@ class HeadMode(Enum):
     SETWISE = "setwise"
 
 
-@dataclass(frozen=True)
-class CaputSpec:
+class CaputSpec(Value):
     """A head: positions of the reference arrangement held fixed, plus a mode.
 
     Degenerate heads are legitimate: EXACT with |head| = n is satisfied by the
     identity alone, EXACT with |head| = n-1 by nothing at all.
     """
 
+    __slots__ = ("degree", "head", "mode")
     degree: int
-    head: frozenset[int] = field(default_factory=frozenset)
-    mode: HeadMode = HeadMode.LOOSE
+    head: frozenset[int]
+    mode: HeadMode
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(
+        self, degree: int, head: frozenset[int] = frozenset(), mode: HeadMode = HeadMode.LOOSE
+    ) -> None:
+        if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        object.__setattr__(self, "head", frozenset(self.head))
-        bad = [i for i in self.head if not 1 <= i <= self.degree]
+        head = frozenset(head)
+        bad = [i for i in head if not 1 <= i <= degree]
         if bad:
             raise InvariantViolationError(
-                f"head positions {sorted(bad)} outside 1..{self.degree}"
+                f"head positions {shown(sorted(bad))} outside 1..{shown(degree)}"
             )
+        self._fill(degree, head, mode)
 
     @property
     def head_size(self) -> int:
@@ -142,6 +146,7 @@ def derangements(m: int) -> int:
     """
     if m < 0:
         raise InvariantViolationError("derangements are defined for m >= 0")
+    refuse_past("derangement count", m)
     # Only the last two values are kept: a table of every D(k) would grow
     # quadratically in memory with m.  The k = 1 step multiplies the unused
     # D(-1) by 0.
@@ -168,17 +173,23 @@ def count_caput(spec: CaputSpec) -> int:
     """
     free = spec.degree - spec.head_size
     if spec.mode is HeadMode.LOOSE:
-        return math.factorial(free)
+        return _factorial(free)
     if spec.mode is HeadMode.EXACT:
         return derangements(free)
-    return math.factorial(spec.head_size) * math.factorial(free)
+    return _factorial(spec.head_size) * _factorial(free)
+
+
+def _factorial(m: int) -> int:
+    """m!, refused past the factorial row of ``CEILINGS``."""
+    refuse_past("factorial count", m)
+    return math.factorial(m)
 
 
 def satisfies(spec: CaputSpec, p: Permutation) -> bool:
     """Membership test for a single permutation against the head."""
     if p.degree != spec.degree:
         raise GroundSetMismatchError(
-            f"permutation of degree {p.degree} against a head over 1..{spec.degree}"
+            f"permutation of degree {p.degree} against a head over 1..{shown(spec.degree)}"
         )
     if spec.mode is HeadMode.SETWISE:
         return {p(i) for i in spec.head} == set(spec.head)
@@ -296,12 +307,20 @@ def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tu
     if isinstance(whole, Permutation):
         return whole.image
     items = list(whole)
-    points = tuple(symbol_to_point(str(s)) for s in items)
+    points = tuple(map(_point, items))
     if sorted(points) != list(range(1, len(points) + 1)):
         raise InvariantViolationError(
-            f"arrangement {whole!r} is not a rearrangement of a reference alphabet"
+            f"arrangement {shown(whole)} is not a rearrangement of a reference alphabet"
         )
     return points
+
+
+def _point(symbol: int | str) -> int:
+    """``symbol_to_point`` of the symbol's text; a non-negative int is its own
+    point, even one whose text would pass the int-to-str digit limit."""
+    if type(symbol) is int and symbol >= 0:
+        return symbol
+    return symbol_to_point(str(symbol))
 
 
 def _normalize_sub(sub: "CaputSpec | Mapping[int, str | int] | Sequence[tuple[int, str | int]]") -> dict[int, int]:
@@ -311,7 +330,7 @@ def _normalize_sub(sub: "CaputSpec | Mapping[int, str | int] | Sequence[tuple[in
         pairs = sub.items()
     else:
         pairs = sub
-    return {int(pos): symbol_to_point(str(sym)) for pos, sym in pairs}
+    return {int(pos): _point(sym) for pos, sym in pairs}
 
 
 def is_caput_of(
@@ -330,9 +349,9 @@ def is_caput_of(
     wanted = _normalize_sub(sub)
     for pos, point in wanted.items():
         if not 1 <= pos <= n:
-            raise GroundSetMismatchError(f"position {pos} outside 1..{n}")
+            raise GroundSetMismatchError(f"position {shown(pos)} outside 1..{n}")
         if not 1 <= point <= n:
             raise GroundSetMismatchError(
-                f"occupant {point} is not drawn from the arrangement's symbols"
+                f"occupant {shown(point)} is not drawn from the arrangement's symbols"
             )
     return all(arrangement[pos - 1] == point for pos, point in wanted.items())

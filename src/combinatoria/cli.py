@@ -14,9 +14,6 @@ variable.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from typing import Iterable, Sequence
@@ -278,13 +275,20 @@ def _cmd_verify(args) -> tuple[dict, list[str], list[list], int]:
 
 
 # -- output rendering ----------------------------------------------------------
+# json, csv and io are imported by the renderer that needs them: a request
+# renders one format, and each fresh interpreter pays only for its own.
 
 def render_json(command: str, result: dict) -> str:
+    import json
+
     envelope = {"command": command, "format_version": FORMAT_VERSION, "result": result}
     return json.dumps(envelope, indent=2, ensure_ascii=False)
 
 
 def render_csv(header: list[str], rows: Iterable[list]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(header)
@@ -304,25 +308,10 @@ def render_human(header: list[str], rows: Iterable[list]) -> str:
 
 
 # -- parser ---------------------------------------------------------------------
+# Each fill function adds a command's sub-commands and arguments to its
+# parser; ``common`` carries --format, so it can trail the invocation.
 
-def build_parser() -> argparse.ArgumentParser:
-    # every leaf command inherits --format, so it can trail the invocation
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=_default_format(),
-        help=f"output format (default from ${FORMAT_ENV_VAR}, else human)",
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="combinatoria",
-        description="Exact permutation, partition, head-variation and "
-        "consanguinity-tree combinatorics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    perm = sub.add_parser("perm", help="compose, invert or decompose permutations")
+def _fill_perm(perm: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     perm_sub = perm.add_subparsers(dest="perm_op", required=True)
     perm_compose = perm_sub.add_parser(
         "compose", parents=[common], help="right-to-left product p∘q"
@@ -339,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     perm_cycles.add_argument("p")
     perm_cycles.set_defaults(handler=_cmd_perm)
 
-    parts = sub.add_parser("partitions", help="integer partition counting and listing")
+
+def _fill_partitions(parts: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     parts_sub = parts.add_subparsers(dest="partitions_op", required=True)
     for name, doc in (
         ("count", "exact p(n)"),
@@ -350,15 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, required=True)
         sp.set_defaults(handler=_cmd_partitions)
 
-    classes = sub.add_parser(
-        "classes",
-        parents=[common],
-        help="conjugacy classes of S_n with their exact orders",
-    )
+
+def _fill_classes(classes: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     classes.add_argument("--n", type=int, required=True)
     classes.set_defaults(handler=_cmd_classes)
 
-    cap = sub.add_parser("caput", help="fixed-head variation counts and listings")
+
+def _fill_caput(cap: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     cap_sub = cap.add_subparsers(dest="caput_op", required=True)
     for name, doc in (
         ("count", "closed-form count"),
@@ -378,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.set_defaults(handler=_cmd_caput)
 
-    probs = sub.add_parser("problems", help="the numbered classical problems")
+
+def _fill_problems(probs: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     probs_sub = probs.add_subparsers(dest="problems_op", required=True)
     solve = probs_sub.add_parser("solve", parents=[common])
     solve.add_argument("--id", type=_parse_problem_id, required=True)
@@ -396,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--k", type=int, default=None)
     reduce_p.set_defaults(handler=_cmd_problems)
 
-    gen = sub.add_parser("genealogy", help="consanguinity-tree counts and coordinates")
+
+def _fill_genealogy(gen: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="genealogy_op", required=True)
     personae = gen_sub.add_parser(
         "personae", parents=[common], help="2^n * (n+1) persons at degree n"
@@ -416,20 +406,55 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("--n", type=int, required=True)
     disc.set_defaults(handler=_cmd_genealogy)
 
-    verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run every closed form against the brute-force oracle",
-    )
+
+def _fill_verify(verify: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     verify.add_argument("--max-n", type=int, default=6, dest="max_n")
     verify.set_defaults(handler=_cmd_verify)
 
+
+# (name, help, whether the command itself takes --format, fill function)
+_COMMANDS = (
+    ("perm", "compose, invert or decompose permutations", False, _fill_perm),
+    ("partitions", "integer partition counting and listing", False, _fill_partitions),
+    ("classes", "conjugacy classes of S_n with their exact orders", True, _fill_classes),
+    ("caput", "fixed-head variation counts and listings", False, _fill_caput),
+    ("problems", "the numbered classical problems", False, _fill_problems),
+    ("genealogy", "consanguinity-tree counts and coordinates", False, _fill_genealogy),
+    ("verify", "run every closed form against the brute-force oracle", True, _fill_verify),
+)
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given argv, only the command argv[0] names is filled in.
+
+    Every command's parser is made, so the top-level help and the error for
+    an unknown command list them all; only the one parsed needs its
+    sub-commands and arguments.  Without argv every command is filled in.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=FORMATS,
+        default=_default_format(),
+        help=f"output format (default from ${FORMAT_ENV_VAR}, else human)",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="combinatoria",
+        description="Exact permutation, partition, head-variation and "
+        "consanguinity-tree combinatorics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, doc, takes_format, fill in _COMMANDS:
+        command = sub.add_parser(name, parents=[common] if takes_format else [], help=doc)
+        if argv is None or name in argv[:1]:
+            fill(command, common)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

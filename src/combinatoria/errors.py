@@ -26,9 +26,11 @@ class InvariantViolationError(CombinatoriaError):
 class EnumerationTooLargeError(CombinatoriaError):
     """A request was refused because it exceeds a row of ``CEILINGS``.
 
-    Materialized or streamed enumerations have ceilings; closed-form counts
-    do not.  The one count with a ceiling is p(n), whose recurrence table
-    grows with n.  The message names the ceiling and what still works.
+    Materialized or streamed enumerations have ceilings, and so do the
+    closed-form counts: p(n), whose recurrence table grows with n, and the
+    factorial, derangement, power-of-two and binomial counts, whose decimal
+    text alone takes seconds to print past their rows.  The message names the
+    ceiling and what still works.
     """
 
 
@@ -60,7 +62,30 @@ CEILINGS = MappingProxyType({
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
     # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.72 s, 49 MB RSS
     "verify sweep": Ceiling(8, "the max_n of a verification sweep", "a smaller max_n"),
+    # The count rows keep the largest count to about 2 CPU s, computed and
+    # printed in decimal (Python 3.11, one core of a 2-core x86-64 box); the
+    # CLI converts a count to decimal twice and took 1.7-3.3 s at each row.
+    # 50000! has 213,237 digits: 0.04 s to compute, 0.67 s to print
+    "factorial count": Ceiling(50_000, "the m of a factorial count m!", "a smaller m"),
+    # D(50000) has 213,237 digits: 0.95 s to compute, 0.69 s to print
+    "derangement count": Ceiling(50_000, "the m of a derangement count D(m)", "a smaller m"),
+    # the personae count 2^1000000 * 1000001 has 301,036 digits: 1.39 s to print
+    "power-of-two count": Ceiling(1_000_000, "the n of a power-of-two count 2^n", "a smaller n"),
+    # C(300000, 150000) has 90,307 digits: 1.34 s to compute, 0.14 s to print
+    "binomial count": Ceiling(300_000, "the n of a binomial count C(n, k)", "a smaller n"),
 })
+
+
+def shown(value: object) -> str:
+    """The repr of a caller's value for a message, or past the int-to-str
+    digit limit, where repr raises ValueError, a description of it."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            # log10(2) = 0.30103: the digit count, without converting
+            return f"<an int of about {int(value.bit_length() * 0.30103) + 1} digits>"
+        return f"<a {type(value).__name__} holding an int too long to print>"
 
 
 def refuse_past(row: str, size: int) -> None:

@@ -13,8 +13,8 @@ distinct ordered pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import CEILINGS, InvariantViolationError, refuse_past
 from .partitions import two_part_count
 
@@ -33,16 +33,14 @@ LAYOUT_VERSION = "reconstructed-v1"
 COORDINATE_CEILING = CEILINGS["coordinate listing"].limit
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TreeCoordinate:
+class TreeCoordinate(Value):
     """An ordered pair locating one person; order matters."""
 
+    __slots__ = ("antecedens", "sequens")
     antecedens: int
     sequens: int
 
     def __init__(self, antecedens: int, sequens: int) -> None:
-        # written out: the generated frozen __init__ and its __post_init__
-        # took about 40% longer per coordinate
         if antecedens < 0 or sequens < 0:
             raise InvariantViolationError("coordinates are non-negative")
         _set_antecedens(self, antecedens)
@@ -56,15 +54,16 @@ _set_antecedens = TreeCoordinate.antecedens.__set__
 _set_sequens = TreeCoordinate.sequens.__set__
 
 
-@dataclass(frozen=True)
-class GradusModel:
+class GradusModel(Value):
     """A degree of the tree and its derived rank count N = gradus + 1."""
 
+    __slots__ = ("gradus",)
     gradus: int
 
-    def __post_init__(self) -> None:
-        if self.gradus < 0:
+    def __init__(self, gradus: int) -> None:
+        if gradus < 0:
             raise InvariantViolationError("gradus starts at 0, the subject person")
+        self._fill(gradus)
 
     @property
     def cognationes(self) -> int:
@@ -74,6 +73,7 @@ class GradusModel:
 def personae_count(gradus: int) -> int:
     """Persons at the given degree: 2^n * (n + 1), exactly."""
     model = GradusModel(gradus)
+    refuse_past("power-of-two count", model.gradus)
     return 2**model.gradus * model.cognationes
 
 

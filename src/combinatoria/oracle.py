@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from . import caput, genealogy, partitions, problems
+from ._value import Value
 from .caput import HeadMode
 from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past
 from .perm import Permutation
@@ -47,18 +47,21 @@ __all__ = [
 SN_CEILING = CEILINGS["S_n walk"].limit
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Value):
     """One closed-form-vs-enumeration comparison, pass or fail."""
 
+    __slots__ = ("claim", "n_range", "passed", "counterexample")
     claim: str
     n_range: str
     passed: bool
-    counterexample: str | None = None
+    counterexample: str | None
 
-    def __post_init__(self) -> None:
-        if not self.passed and not self.counterexample:
+    def __init__(
+        self, claim: str, n_range: str, passed: bool, counterexample: str | None = None
+    ) -> None:
+        if not passed and not counterexample:
             raise InvariantViolationError("a failed report must carry a counterexample")
+        self._fill(claim, n_range, passed, counterexample)
 
     @property
     def verdict(self) -> str:

@@ -12,7 +12,8 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CEILINGS, InvariantViolationError, refuse_past
+from ._value import Value
+from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
 from .perm import CycleType
 
 __all__ = [
@@ -33,24 +34,25 @@ DEFAULT_ENUMERATION_CEILING = CEILINGS["partition listing"].limit
 COUNTING_CEILING = CEILINGS["partition count"].limit
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(Value):
     """Non-increasing positive parts; the empty partition has total 0.
 
     >>> str(Partition((3, 2, 1)))
     '3,2,1'
     """
 
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
         prev = None
-        for x in self.parts:
+        for x in parts:
             if x < 1 or (prev is not None and x > prev):
                 raise InvariantViolationError(
-                    f"parts must be non-increasing positives: {self.parts}"
+                    f"parts must be non-increasing positives: {shown(parts)}"
                 )
             prev = x
+        _set_parts(self, parts)
 
     @property
     def total(self) -> int:
@@ -61,6 +63,9 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
+
+
+_set_parts = Partition.parts.__set__
 
 
 def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
@@ -154,7 +159,11 @@ def two_part_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class ClassOrder:
-    """The exact size of one conjugacy class of S_n."""
+    """The exact size of one conjugacy class of S_n.
+
+    The package's one dataclass: ``dataclasses.replace`` and the like work
+    on it, and on none of the slotted value classes.
+    """
 
     degree: int
     cycle_type: CycleType

@@ -19,15 +19,16 @@ without re-checking.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._value import Value
 from .errors import (
     CEILINGS,
     DegreeMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
     refuse_past,
+    shown,
 )
 
 __all__ = [
@@ -54,8 +55,7 @@ __all__ = [
 DEGREE_CEILING = CEILINGS["cycle degree"].limit
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class Permutation(Value):
     """A bijection of {1, ..., n} in one-line form.
 
     >>> p = Permutation((1, 4, 3, 6, 5, 2))
@@ -65,16 +65,28 @@ class Permutation:
     6
     """
 
+    __slots__ = ("image",)
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.image)
+    def __init__(self, image: tuple[int, ...]) -> None:
+        n = len(image)
         if n == 0:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        if sorted(self.image) != list(range(1, n + 1)):
+        if sorted(image) != list(range(1, n + 1)):
             raise InvariantViolationError(
-                f"one-line form {list(self.image)} is not a bijection of 1..{n}"
+                f"one-line form {shown(list(image))} is not a bijection of 1..{n}"
             )
+        _set_image(self, image)
+
+    # written out: the field-tuple versions of Value are slower, and
+    # Permutations are compared and hashed in bulk
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.image == other.image
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.image,))
 
     @property
     def degree(self) -> int:
@@ -82,7 +94,7 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         if not 1 <= point <= self.degree:
-            raise InvariantViolationError(f"point {point} outside 1..{self.degree}")
+            raise InvariantViolationError(f"point {shown(point)} outside 1..{self.degree}")
         return self.image[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -102,34 +114,34 @@ _set_image = Permutation.image.__set__
 def _trusted(image: tuple[int, ...]) -> Permutation:
     """A Permutation over an image already known to be a bijection of 1..n.
 
-    Skips ``__post_init__``; only results computed from checked data may
-    come through here.
+    Skips the checks of ``__init__``; only results computed from checked
+    data may come through here.
     """
     p = _new_object(Permutation)
     _set_image(p, image)
     return p
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(Value):
     """A cycle of distinct points, stored with the smallest point first.
 
     A 1-cycle is a fixed point; it is kept, never dropped.
     """
 
+    __slots__ = ("points",)
     points: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.points)
+    def __init__(self, points: tuple[int, ...]) -> None:
+        pts = tuple(points)
         if not pts:
             raise InvariantViolationError("a cycle needs at least one point")
         if len(set(pts)) != len(pts):
-            raise InvariantViolationError(f"cycle {pts} repeats a point")
+            raise InvariantViolationError(f"cycle {shown(pts)} repeats a point")
         if min(pts) <= 0:
-            raise InvariantViolationError(f"cycle {pts} contains a non-positive point")
+            raise InvariantViolationError(f"cycle {shown(pts)} contains a non-positive point")
         # canonical rotation: smallest point first
         k = pts.index(min(pts))
-        object.__setattr__(self, "points", pts[k:] + pts[:k])
+        _set_points(self, pts[k:] + pts[:k])
 
     @property
     def length(self) -> int:
@@ -143,29 +155,31 @@ class Cycle:
         return "(" + "".join(str(x) for x in self.points) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class CycleType:
+class CycleType(Value):
     """Cycle-count vector (alpha_1, ..., alpha_n): alpha[i-1] i-cycles.
 
     The defining identity 1*alpha_1 + 2*alpha_2 + ... + n*alpha_n = n is
     enforced at construction.
     """
 
+    __slots__ = ("degree", "alpha")
     degree: int
     alpha: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(self, degree: int, alpha: tuple[int, ...]) -> None:
+        if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        if len(self.alpha) != self.degree or min(self.alpha) < 0:
+        if len(alpha) != degree or min(alpha) < 0:
             raise InvariantViolationError(
-                f"alpha must be {self.degree} non-negative counts, got {self.alpha}"
+                f"alpha must be {shown(degree)} non-negative counts, got {shown(alpha)}"
             )
-        weighted = sum(map(operator.mul, range(1, self.degree + 1), self.alpha))
-        if weighted != self.degree:
+        weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
+        if weighted != degree:
             raise InvariantViolationError(
-                f"sum of i*alpha_i is {weighted}, expected the degree {self.degree}"
+                f"sum of i*alpha_i is {shown(weighted)}, expected the degree {degree}"
             )
+        _set_degree(self, degree)
+        _set_alpha(self, alpha)
 
     @classmethod
     def from_cycle_lengths(cls, degree: int, lengths: Iterable[int]) -> "CycleType":
@@ -173,7 +187,7 @@ class CycleType:
         for length in lengths:
             if not 1 <= length <= degree:
                 raise InvariantViolationError(
-                    f"cycle length {length} outside 1..{degree}"
+                    f"cycle length {shown(length)} outside 1..{degree}"
                 )
             alpha[length - 1] += 1
         return cls(degree, tuple(alpha))
@@ -191,6 +205,11 @@ class CycleType:
 
     def __str__(self) -> str:
         return format_alpha(self)
+
+
+_set_points = Cycle.points.__set__
+_set_degree = CycleType.degree.__set__
+_set_alpha = CycleType.alpha.__set__
 
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
@@ -304,7 +323,7 @@ def from_cycles(
     for pts in cycle_list:
         for x in pts:
             if not 1 <= x <= n:
-                raise InvariantViolationError(f"point {x} outside 1..{n}")
+                raise InvariantViolationError(f"point {shown(x)} outside 1..{n}")
         for i, x in enumerate(pts):
             image[x - 1] = pts[(i + 1) % len(pts)]
     if n < 1:
@@ -402,7 +421,7 @@ _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 def point_to_symbol(point: int) -> str:
     """1 -> 'a', 2 -> 'b', ... (letters run out past 26)."""
     if not 1 <= point <= len(_ALPHABET):
-        raise InvariantViolationError(f"no letter for point {point}; use numbers")
+        raise InvariantViolationError(f"no letter for point {shown(point)}; use numbers")
     return _ALPHABET[point - 1]
 
 

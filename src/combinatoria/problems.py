@@ -7,18 +7,19 @@ covered by the complexion family (subset counting), and the remaining ids
 are reserved tags carried with a "not specified in source" status rather
 than invented solutions.
 
-Everything here is exact integer arithmetic; the enumerating variants cap
-their output sizes, the counting variants do not.
+Everything here is exact integer arithmetic.  The enumerating variants cap
+their output sizes, and the counting variants the sizes of their factorial,
+power-of-two and binomial counts.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .caput import CaputSpec, HeadMode, count_caput
-from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past
+from ._value import Value
+from .caput import CaputSpec, HeadMode, _factorial, count_caput
+from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past, shown
 from .perm import Permutation, _trusted
 
 __all__ = [
@@ -68,6 +69,7 @@ def complexions(n: int, k: int) -> int:
         raise InvariantViolationError("complexions need n >= 0 and k >= 0")
     if k > n:
         return 0
+    refuse_past("binomial count", n)
     return math.comb(n, k)
 
 
@@ -79,6 +81,7 @@ def complexiones_simpliciter(n: int, include_empty: bool = False) -> int:
     """
     if n < 1:
         raise InvalidDegreeError("a whole needs at least one part")
+    refuse_past("power-of-two count", n)
     return 2**n if include_empty else 2**n - 1
 
 
@@ -86,7 +89,7 @@ def variations_of_order(n: int) -> int:
     """All rearrangements of n distinct things: n!."""
     if n < 1:
         raise InvalidDegreeError("variations of order need n >= 1")
-    return math.factorial(n)
+    return _factorial(n)
 
 
 def vicinity_variations(n: int) -> int:
@@ -99,7 +102,7 @@ def vicinity_variations(n: int) -> int:
     """
     if n < 1:
         raise InvalidDegreeError("vicinity variations need n >= 1")
-    return math.factorial(n - 1)
+    return _factorial(n - 1)
 
 
 def canonical_vicinity(arrangement: Permutation | Sequence[int]) -> Permutation:
@@ -138,31 +141,39 @@ def problem7_product(n: int, head_size: int) -> int:
     agree with count_caput in LOOSE mode.
     """
     if not 0 <= head_size <= n:
-        raise InvariantViolationError(f"head size {head_size} outside 0..{n}")
-    return math.factorial(n - head_size)
+        raise InvariantViolationError(f"head size {shown(head_size)} outside 0..{shown(n)}")
+    return _factorial(n - head_size)
 
 
-@dataclass(frozen=True)
-class ProblemResult:
+class ProblemResult(Value):
     """Outcome of solving one numbered problem."""
 
+    __slots__ = ("problem_id", "inputs", "count", "witnesses", "truncated", "status")
     problem_id: int | str
     inputs: dict
     count: int | None
-    witnesses: tuple | None = None
-    truncated: bool = False
-    status: str = "ok"  # "ok" | "not-specified-in-source" | "not-a-counting-problem"
+    witnesses: tuple | None
+    truncated: bool
+    status: str  # "ok" | "not-specified-in-source" | "not-a-counting-problem"
 
-    def __post_init__(self) -> None:
-        if self.witnesses is not None and not self.truncated:
-            if self.count != len(self.witnesses):
+    def __init__(
+        self,
+        problem_id: int | str,
+        inputs: dict,
+        count: int | None,
+        witnesses: tuple | None = None,
+        truncated: bool = False,
+        status: str = "ok",
+    ) -> None:
+        if witnesses is not None and not truncated:
+            if count != len(witnesses):
                 raise InvariantViolationError(
-                    f"{len(self.witnesses)} witnesses against count {self.count}"
+                    f"{len(witnesses)} witnesses against count {shown(count)}"
                 )
+        self._fill(problem_id, inputs, count, witnesses, truncated, status)
 
 
-@dataclass(frozen=True)
-class CaputReduction:
+class CaputReduction(Value):
     """How a problem's count is recovered through the head machinery.
 
     ``status`` is "ok" when both routes were computed, "not-reducible" when
@@ -170,13 +181,31 @@ class CaputReduction:
     "not-specified-in-source" for the reserved problem ids.
     """
 
+    __slots__ = (
+        "problem_id", "inputs", "status", "direct_count", "caput_count",
+        "head_description", "note",
+    )
     problem_id: int | str
     inputs: dict
     status: str
-    direct_count: int | None = None
-    caput_count: int | None = None
-    head_description: str = ""
-    note: str = ""
+    direct_count: int | None
+    caput_count: int | None
+    head_description: str
+    note: str
+
+    def __init__(
+        self,
+        problem_id: int | str,
+        inputs: dict,
+        status: str,
+        direct_count: int | None = None,
+        caput_count: int | None = None,
+        head_description: str = "",
+        note: str = "",
+    ) -> None:
+        self._fill(
+            problem_id, inputs, status, direct_count, caput_count, head_description, note
+        )
 
     @property
     def agrees(self) -> bool | None:
@@ -229,7 +258,7 @@ def solve(
     """
     if problem_id not in PROBLEM_TITLES:
         raise InvariantViolationError(
-            f"unknown problem id {problem_id!r}; use 1..12 or {SIMPLICITER!r}"
+            f"unknown problem id {shown(problem_id)}; use 1..12 or {SIMPLICITER!r}"
         )
     inputs = {"n": n} if k is None else {"n": n, "k": k}
     if problem_id == 10:

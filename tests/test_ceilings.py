@@ -2,15 +2,27 @@
 
 A request one past the ceiling and a request of 10**5000, an integer too long
 for the default int-to-str limit, must both end in EnumerationTooLargeError
-whose message names the ceiling and what still works past it.
+whose message names the ceiling and what still works past it.  Through the
+CLI, the count ceilings end in exit 2 and one error line.  The errors that are
+not ceilings hold at 10**5000 too: a caller's value that cannot be printed is
+described in the message instead.
 """
+import contextlib
+import io
+
 import pytest
 
 from combinatoria import caput, genealogy, oracle, partitions, perm, problems
-from combinatoria.caput import CaputSpec
-from combinatoria.errors import EnumerationTooLargeError
+from combinatoria.caput import CaputSpec, HeadMode
+from combinatoria.cli import main
+from combinatoria.errors import CEILINGS, CombinatoriaError, EnumerationTooLargeError, shown
 
 HUGE = 10**5000
+
+FACTORIAL = CEILINGS["factorial count"].limit
+DERANGEMENT = CEILINGS["derangement count"].limit
+POWER_OF_TWO = CEILINGS["power-of-two count"].limit
+BINOMIAL = CEILINGS["binomial count"].limit
 
 # (guard, ceiling, the name of what still works past it)
 GUARDS = {
@@ -47,6 +59,35 @@ GUARDS = {
     "from_cycles degree": (
         lambda n: perm.from_cycles([(1, 2)], degree=n), perm.DEGREE_CEILING, "parse_one_line"
     ),
+    # the counts: each guard is called with the argument of its factorial,
+    # derangement number, power of two or binomial
+    "count_caput loose": (
+        lambda m: caput.count_caput(CaputSpec(degree=m)), FACTORIAL, "a smaller m"
+    ),
+    "count_caput setwise": (
+        lambda m: caput.count_caput(CaputSpec(degree=m + 1, head={1}, mode=HeadMode.SETWISE)),
+        FACTORIAL,
+        "a smaller m",
+    ),
+    "count_caput exact": (
+        lambda m: caput.count_caput(CaputSpec(degree=m, mode=HeadMode.EXACT)),
+        DERANGEMENT,
+        "a smaller m",
+    ),
+    "derangements": (caput.derangements, DERANGEMENT, "a smaller m"),
+    "variations_of_order": (problems.variations_of_order, FACTORIAL, "a smaller m"),
+    "vicinity_variations": (
+        lambda m: problems.vicinity_variations(m + 1), FACTORIAL, "a smaller m"
+    ),
+    "problem7_product": (lambda m: problems.problem7_product(m + 2, 2), FACTORIAL, "a smaller m"),
+    "solve 4": (lambda m: problems.solve(4, m), FACTORIAL, "a smaller m"),
+    "solve 5": (lambda m: problems.solve(5, m + 1), FACTORIAL, "a smaller m"),
+    "solve 7": (lambda m: problems.solve(7, m + 3, 3), FACTORIAL, "a smaller m"),
+    "personae_count": (genealogy.personae_count, POWER_OF_TWO, "a smaller n"),
+    "complexiones_simpliciter": (
+        problems.complexiones_simpliciter, POWER_OF_TWO, "a smaller n"
+    ),
+    "complexions": (lambda n: problems.complexions(n, 2), BINOMIAL, "a smaller n"),
 }
 
 
@@ -60,3 +101,152 @@ def test_refusal_names_the_ceiling_and_the_fallback(name, past):
     message = str(refused.value)
     assert str(ceiling) in message
     assert fallback in message
+
+
+# (argv before the size, ceiling, fallback); the size is the last argument
+CLI_GUARDS = {
+    "caput count": (["caput", "count", "--n"], FACTORIAL, "a smaller m"),
+    "caput count exact": (
+        ["caput", "count", "--mode", "exact", "--n"], DERANGEMENT, "a smaller m"
+    ),
+    "problems solve 4": (["problems", "solve", "--id", "4", "--n"], FACTORIAL, "a smaller m"),
+    "problems solve 7": (
+        ["problems", "solve", "--id", "7", "--k", "0", "--n"], FACTORIAL, "a smaller m"
+    ),
+    "problems solve simpliciter": (
+        ["problems", "solve", "--id", "simpliciter", "--n"], POWER_OF_TWO, "a smaller n"
+    ),
+    "problems solve 1": (
+        ["problems", "solve", "--id", "1", "--k", "2", "--n"], BINOMIAL, "a smaller n"
+    ),
+    "genealogy personae": (["genealogy", "personae", "--gradus"], POWER_OF_TWO, "a smaller n"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_GUARDS)
+@pytest.mark.parametrize("past", ["ceiling + 1", "10**4000"])
+def test_cli_refuses_a_count_in_one_line(name, past):
+    # 10**4000 is short enough for argparse to read under the int-to-str
+    # digit limit; longer --n text is refused as an invalid int before any row.
+    argv, ceiling, fallback = CLI_GUARDS[name]
+    size = ceiling + 1 if past == "ceiling + 1" else 10**4000
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, str(size), "--format", "json"])
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("combinatoria: error:")
+    assert str(ceiling) in lines[0] and fallback in lines[0]
+
+
+# name: (a call with a printable value, its message, the call with HUGE there)
+MESSAGE_SITES = {
+    "Permutation": (
+        lambda: perm.Permutation((1, 3)),
+        "one-line form [1, 3] is not a bijection of 1..2",
+        lambda: perm.Permutation((1, HUGE)),
+    ),
+    "Permutation.__call__": (
+        lambda: perm.Permutation((1, 2))(3),
+        "point 3 outside 1..2",
+        lambda: perm.Permutation((1, 2))(HUGE),
+    ),
+    "Cycle": (
+        lambda: perm.Cycle((2, 2)), "cycle (2, 2) repeats a point", lambda: perm.Cycle((HUGE, HUGE))
+    ),
+    "Cycle non-positive": (
+        lambda: perm.Cycle((0, 2)),
+        "cycle (0, 2) contains a non-positive point",
+        lambda: perm.Cycle((-HUGE, 2)),
+    ),
+    "CycleType": (
+        lambda: perm.CycleType(2, (2, 1)),
+        "sum of i*alpha_i is 4, expected the degree 2",
+        lambda: perm.CycleType(2, (HUGE, 0)),
+    ),
+    "CycleType degree": (
+        lambda: perm.CycleType(3, (1,)),
+        "alpha must be 3 non-negative counts, got (1,)",
+        lambda: perm.CycleType(HUGE, (1,)),
+    ),
+    "CycleType.from_cycle_lengths": (
+        lambda: perm.CycleType.from_cycle_lengths(2, [3]),
+        "cycle length 3 outside 1..2",
+        lambda: perm.CycleType.from_cycle_lengths(2, [HUGE]),
+    ),
+    "from_cycles point": (
+        lambda: perm.from_cycles([(1, 7)], degree=5),
+        "point 7 outside 1..5",
+        lambda: perm.from_cycles([(1, HUGE)], degree=5),
+    ),
+    "point_to_symbol": (
+        lambda: perm.point_to_symbol(27),
+        "no letter for point 27; use numbers",
+        lambda: perm.point_to_symbol(HUGE),
+    ),
+    "Partition": (
+        lambda: partitions.Partition((1, 2)),
+        "parts must be non-increasing positives: (1, 2)",
+        lambda: partitions.Partition((1, HUGE)),
+    ),
+    "CaputSpec": (
+        lambda: CaputSpec(3, frozenset({4, 0})),
+        "head positions [0, 4] outside 1..3",
+        lambda: CaputSpec(3, frozenset({HUGE})),
+    ),
+    "satisfies": (
+        lambda: caput.satisfies(CaputSpec(2), perm.Permutation((1,))),
+        "permutation of degree 1 against a head over 1..2",
+        lambda: caput.satisfies(CaputSpec(HUGE), perm.Permutation((1,))),
+    ),
+    "is_caput_of position": (
+        lambda: caput.is_caput_of({4: "a"}, "abc"),
+        "position 4 outside 1..3",
+        lambda: caput.is_caput_of({HUGE: "a"}, "abc"),
+    ),
+    "is_caput_of occupant": (
+        lambda: caput.is_caput_of({1: 4}, "abc"),
+        "occupant 4 is not drawn from the arrangement's symbols",
+        lambda: caput.is_caput_of({1: HUGE}, "abc"),
+    ),
+    "is_caput_of arrangement": (
+        lambda: caput.is_caput_of({1: "a"}, [1, 3]),
+        "arrangement [1, 3] is not a rearrangement of a reference alphabet",
+        lambda: caput.is_caput_of({1: "a"}, [1, HUGE]),
+    ),
+    "problem7_product": (
+        lambda: problems.problem7_product(3, 4),
+        "head size 4 outside 0..3",
+        lambda: problems.problem7_product(3, HUGE),
+    ),
+    "solve": (
+        lambda: problems.solve(13, 3),
+        "unknown problem id 13; use 1..12 or 'simpliciter'",
+        lambda: problems.solve(HUGE, 3),
+    ),
+    "ProblemResult": (
+        lambda: problems.ProblemResult(1, {}, 2, witnesses=()),
+        "0 witnesses against count 2",
+        lambda: problems.ProblemResult(1, {}, HUGE, witnesses=()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MESSAGE_SITES)
+def test_messages_print_small_values_and_describe_huge_ones(name):
+    small, message, huge = MESSAGE_SITES[name]
+    with pytest.raises(CombinatoriaError) as refused:
+        small()
+    assert str(refused.value) == message
+    with pytest.raises(CombinatoriaError) as refused:
+        huge()
+    assert "digits>" in str(refused.value) or "too long to print>" in str(refused.value)
+
+
+def test_shown_is_repr_for_printable_values():
+    for value in (7, -3, (1, 2), [3, 1], "a", None, frozenset({2})):
+        assert shown(value) == repr(value)
+    assert shown(HUGE) == "<an int of about 5001 digits>"
+    assert shown((1, HUGE)) == "<a tuple holding an int too long to print>"

@@ -384,3 +384,286 @@ class TestArgvProperty:
             json.loads(out.getvalue())
         if code == 2:
             assert err.getvalue()
+
+
+# -- the CLI surface, pinned --------------------------------------------------------
+# Text captured from the CLI at 80 columns before its parser was built per
+# command: top-level help, each command's and each leaf's help, an unknown
+# command and a leaf missing a required argument.  Each entry is the exit
+# code and the text: stdout on exit 0, stderr on exit 2, the other empty.
+
+SURFACE = {
+    '--help': (0, """\
+usage: combinatoria [-h]
+                    {perm,partitions,classes,caput,problems,genealogy,verify}
+                    ...
+
+Exact permutation, partition, head-variation and consanguinity-tree
+combinatorics.
+
+positional arguments:
+  {perm,partitions,classes,caput,problems,genealogy,verify}
+    perm                compose, invert or decompose permutations
+    partitions          integer partition counting and listing
+    classes             conjugacy classes of S_n with their exact orders
+    caput               fixed-head variation counts and listings
+    problems            the numbered classical problems
+    genealogy           consanguinity-tree counts and coordinates
+    verify              run every closed form against the brute-force oracle
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    'perm --help': (0, """\
+usage: combinatoria perm [-h] {compose,inverse,cycles} ...
+
+positional arguments:
+  {compose,inverse,cycles}
+    compose             right-to-left product p∘q
+    cycles              cycle decomposition and type
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    'perm compose --help': (0, """\
+usage: combinatoria perm compose [-h] [--format {human,json,csv}] p q
+
+positional arguments:
+  p                     one-line [2,3,1] or cycle (123) form
+  q                     applied first
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+"""),
+    'perm inverse --help': (0, """\
+usage: combinatoria perm inverse [-h] [--format {human,json,csv}] p
+
+positional arguments:
+  p
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+"""),
+    'perm cycles --help': (0, """\
+usage: combinatoria perm cycles [-h] [--format {human,json,csv}] p
+
+positional arguments:
+  p
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+"""),
+    'partitions --help': (0, """\
+usage: combinatoria partitions [-h] {count,list,two-part} ...
+
+positional arguments:
+  {count,list,two-part}
+    count               exact p(n)
+    list                all partitions, largest first part first
+    two-part            partitions into exactly two parts
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    'partitions count --help': (0, """\
+usage: combinatoria partitions count [-h] [--format {human,json,csv}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N
+"""),
+    'partitions list --help': (0, """\
+usage: combinatoria partitions list [-h] [--format {human,json,csv}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N
+"""),
+    'partitions two-part --help': (0, """\
+usage: combinatoria partitions two-part [-h] [--format {human,json,csv}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N
+"""),
+    'classes --help': (0, """\
+usage: combinatoria classes [-h] [--format {human,json,csv}] --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N
+"""),
+    'caput --help': (0, """\
+usage: combinatoria caput [-h] {count,enumerate} ...
+
+positional arguments:
+  {count,enumerate}
+    count            closed-form count
+    enumerate        lexicographic listing
+
+options:
+  -h, --help         show this help message and exit
+"""),
+    'caput count --help': (0, """\
+usage: combinatoria caput count [-h] [--format {human,json,csv}] --n N
+                                [--head HEAD] [--mode {loose,exact,setwise}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N                 degree
+  --head HEAD           comma list like 1=a,3=c; empty for no constraint
+  --mode {loose,exact,setwise}
+"""),
+    'caput enumerate --help': (0, """\
+usage: combinatoria caput enumerate [-h] [--format {human,json,csv}] --n N
+                                    [--head HEAD]
+                                    [--mode {loose,exact,setwise}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N                 degree
+  --head HEAD           comma list like 1=a,3=c; empty for no constraint
+  --mode {loose,exact,setwise}
+"""),
+    'problems --help': (0, """\
+usage: combinatoria problems [-h] {solve,reduce} ...
+
+positional arguments:
+  {solve,reduce}
+    reduce        recover the count through the head machinery
+
+options:
+  -h, --help      show this help message and exit
+"""),
+    'problems solve --help': (0, """\
+usage: combinatoria problems solve [-h] [--format {human,json,csv}] --id ID
+                                   --n N [--k K] [--witnesses]
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --id ID
+  --n N
+  --k K
+  --witnesses           include an explicit listing
+"""),
+    'problems reduce --help': (0, """\
+usage: combinatoria problems reduce [-h] [--format {human,json,csv}] --id ID
+                                    --n N [--k K]
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --id ID
+  --n N
+  --k K
+"""),
+    'genealogy --help': (0, """\
+usage: combinatoria genealogy [-h] {personae,coords,discerptiones} ...
+
+positional arguments:
+  {personae,coords,discerptiones}
+    personae            2^n * (n+1) persons at degree n
+    coords              every person's (antecedens, sequens)
+    discerptiones       two-part partitions of the rank count
+
+options:
+  -h, --help            show this help message and exit
+"""),
+    'genealogy personae --help': (0, """\
+usage: combinatoria genealogy personae [-h] [--format {human,json,csv}]
+                                       --gradus GRADUS
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --gradus GRADUS
+"""),
+    'genealogy coords --help': (0, """\
+usage: combinatoria genealogy coords [-h] [--format {human,json,csv}] --gradus
+                                     GRADUS
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --gradus GRADUS
+"""),
+    'genealogy discerptiones --help': (0, """\
+usage: combinatoria genealogy discerptiones [-h] [--format {human,json,csv}]
+                                            --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --n N
+"""),
+    'verify --help': (0, """\
+usage: combinatoria verify [-h] [--format {human,json,csv}] [--max-n MAX_N]
+
+options:
+  -h, --help            show this help message and exit
+  --format {human,json,csv}
+                        output format (default from $COMBINATORIA_FORMAT, else
+                        human)
+  --max-n MAX_N
+"""),
+    'frobnicate': (2, """\
+usage: combinatoria [-h]
+                    {perm,partitions,classes,caput,problems,genealogy,verify}
+                    ...
+combinatoria: error: argument command: invalid choice: 'frobnicate' (choose from 'perm', 'partitions', 'classes', 'caput', 'problems', 'genealogy', 'verify')
+"""),
+    'caput count': (2, """\
+usage: combinatoria caput count [-h] [--format {human,json,csv}] --n N
+                                [--head HEAD] [--mode {loose,exact,setwise}]
+combinatoria caput count: error: the following arguments are required: --n
+"""),
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("argv", SURFACE)
+    def test_text_and_exit_code_unchanged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("COMBINATORIA_FORMAT", raising=False)
+        code, out, err = run(capsys, *argv.split())
+        expected_code, text = SURFACE[argv]
+        assert code == expected_code
+        assert (out, err) == ((text, "") if code == 0 else ("", text))

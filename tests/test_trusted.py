@@ -4,18 +4,32 @@ compose, inverse, from_cycles (and so parse_cycles), vicinity_classes,
 canonical_vicinity and enumerate_caput build their Permutations from already
 checked data without running the constructor's checks; TreeCoordinate has a hand-written __init__.  Each must
 be indistinguishable from an object built through the public constructor.
+
+The value classes are slotted classes, not dataclasses; each must behave as
+the frozen dataclass it replaced: the same equality, hash, repr, frozenness,
+keywords, defaults, pickling and copying.
 """
+import copy
 import dataclasses
+import importlib
+import inspect
 import itertools
+import pickle
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import combinatoria
 from combinatoria.caput import CaputSpec, HeadMode, enumerate_caput
 from combinatoria.errors import InvariantViolationError
-from combinatoria.genealogy import TreeCoordinate, coordinates
+from combinatoria.genealogy import GradusModel, TreeCoordinate, coordinates
+from combinatoria.oracle import OracleReport
+from combinatoria.partitions import ClassOrder, Partition
 from combinatoria.perm import (
+    Cycle,
+    CycleType,
     Permutation,
     compose,
     format_cycles,
@@ -23,7 +37,12 @@ from combinatoria.perm import (
     inverse,
     parse_cycles,
 )
-from combinatoria.problems import canonical_vicinity, vicinity_classes
+from combinatoria.problems import (
+    CaputReduction,
+    ProblemResult,
+    canonical_vicinity,
+    vicinity_classes,
+)
 
 
 def assert_like_validated(p) -> None:
@@ -99,3 +118,179 @@ class TestTreeCoordinate:
     def test_negative_rejected(self, pair):
         with pytest.raises(InvariantViolationError):
             TreeCoordinate(*pair)
+
+
+# -- the value classes against the dataclasses they replaced ---------------------
+
+_degree_and_head = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, n)))
+)
+_count = st.none() | st.integers(min_value=0, max_value=10**30)
+_text = st.text(alphabet="ab c1=", max_size=6)
+REQUIRED = inspect.Parameter.empty
+
+# class: ({field name: its default}, strategy of positional arguments)
+VALUE_CLASSES = {
+    Permutation: (
+        {"image": REQUIRED},
+        st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+            lambda image: (tuple(image),)
+        ),
+    ),
+    Cycle: (
+        {"points": REQUIRED},
+        st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True).map(
+            lambda pts: (tuple(pts),)
+        ),
+    ),
+    CycleType: (
+        {"degree": REQUIRED, "alpha": REQUIRED},
+        st.lists(st.integers(1, 5), min_size=1, max_size=6).map(
+            lambda lengths: (
+                sum(lengths),
+                tuple(lengths.count(i) for i in range(1, sum(lengths) + 1)),
+            )
+        ),
+    ),
+    Partition: (
+        {"parts": REQUIRED},
+        st.lists(st.integers(1, 9), max_size=6).map(
+            lambda parts: (tuple(sorted(parts, reverse=True)),)
+        ),
+    ),
+    CaputSpec: (
+        {"degree": REQUIRED, "head": frozenset(), "mode": HeadMode.LOOSE},
+        st.tuples(_degree_and_head, st.sampled_from(list(HeadMode))).map(
+            lambda t: (*t[0], t[1])
+        ),
+    ),
+    TreeCoordinate: (
+        {"antecedens": REQUIRED, "sequens": REQUIRED},
+        st.tuples(st.integers(0, 2**20), st.integers(0, 20)),
+    ),
+    GradusModel: ({"gradus": REQUIRED}, st.tuples(st.integers(0, 10**6))),
+    ProblemResult: (
+        {
+            "problem_id": REQUIRED, "inputs": REQUIRED, "count": REQUIRED,
+            "witnesses": None, "truncated": False, "status": "ok",
+        },
+        st.tuples(
+            st.integers(1, 12) | st.just("simpliciter"),
+            st.dictionaries(st.sampled_from("nk"), st.integers(0, 9)),
+            _count,
+            st.none(),
+            st.booleans(),
+            _text,
+        ),
+    ),
+    CaputReduction: (
+        {
+            "problem_id": REQUIRED, "inputs": REQUIRED, "status": REQUIRED,
+            "direct_count": None, "caput_count": None, "head_description": "", "note": "",
+        },
+        st.tuples(
+            st.integers(1, 12),
+            st.dictionaries(st.sampled_from("nk"), st.integers(0, 9)),
+            _text, _count, _count, _text, _text,
+        ),
+    ),
+    OracleReport: (
+        {"claim": REQUIRED, "n_range": REQUIRED, "passed": REQUIRED, "counterexample": None},
+        st.tuples(_text, _text, st.just(True), st.none() | _text),
+    ),
+}
+
+
+def _twin_dataclass(cls):
+    """A frozen dataclass with the same name and fields: the reference."""
+    return dataclasses.make_dataclass(cls.__name__, list(VALUE_CLASSES[cls][0]), frozen=True)
+
+
+def _values(x) -> tuple:
+    return tuple(getattr(x, name) for name in VALUE_CLASSES[type(x)][0])
+
+
+_instances = st.sampled_from(list(VALUE_CLASSES)).flatmap(
+    lambda cls: VALUE_CLASSES[cls][1].map(lambda args: cls(*args))
+)
+
+
+class TestValueClasses:
+    @given(_instances)
+    def test_equality_by_value_within_the_class(self, x):
+        cls = type(x)
+        twin = cls(*_values(x))
+        assert twin == x and not (twin != x)
+        assert x != _twin_dataclass(cls)(*_values(x))
+        assert x != _values(x)
+
+    @given(_instances, _instances)
+    def test_unequal_values_are_unequal(self, x, y):
+        assert (x == y) == (type(x) is type(y) and _values(x) == _values(y))
+
+    @given(_instances)
+    def test_hash_is_the_field_tuple_hash(self, x):
+        fields = _values(x)
+        try:
+            expected = hash(fields)
+        except TypeError:  # an inputs dict: unhashable, as with the dataclass
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == expected == hash(_twin_dataclass(type(x))(*fields))
+
+    @given(_instances)
+    def test_repr_is_the_dataclass_repr(self, x):
+        if type(x) is Permutation:
+            assert repr(x) == f"Permutation({x.image!r})"
+        else:
+            assert repr(x) == repr(_twin_dataclass(type(x))(*_values(x)))
+
+    def test_repr_examples(self):
+        assert repr(CycleType(3, (1, 1, 0))) == "CycleType(degree=3, alpha=(1, 1, 0))"
+        assert repr(Cycle((3, 1))) == "Cycle(points=(1, 3))"
+        assert repr(CaputSpec(2)) == (
+            "CaputSpec(degree=2, head=frozenset(), mode=<HeadMode.LOOSE: 'loose'>)"
+        )
+        assert repr(Permutation((2, 1))) == "Permutation((2, 1))"
+
+    @given(_instances)
+    def test_frozen_on_set_and_delete(self, x):
+        for name in VALUE_CLASSES[type(x)][0]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.other = 1
+
+    @given(_instances)
+    def test_keyword_construction(self, x):
+        names = VALUE_CLASSES[type(x)][0]
+        assert type(x)(**dict(zip(names, _values(x)))) == x
+        assert type(x).__match_args__ == tuple(names)
+
+    def test_defaults(self):
+        for cls, (fields, _) in VALUE_CLASSES.items():
+            params = inspect.signature(cls).parameters
+            assert {name: p.default for name, p in params.items()} == fields, cls
+        assert CaputSpec(degree=4) == CaputSpec(4, frozenset(), HeadMode.LOOSE)
+        assert ProblemResult(1, {}, None) == ProblemResult(1, {}, None, None, False, "ok")
+        assert CaputReduction(1, {}, "ok") == CaputReduction(1, {}, "ok", None, None, "", "")
+        assert OracleReport("c", "1..2", True) == OracleReport("c", "1..2", True, None)
+
+    @given(_instances)
+    def test_pickle_and_deepcopy_round_trip(self, x):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert type(back) is type(x) and back == x
+        assert copy.deepcopy(x) == x and copy.copy(x) == x
+
+    def test_class_order_is_the_only_dataclass(self):
+        found = set()
+        for info in pkgutil.iter_modules(combinatoria.__path__, "combinatoria."):
+            module = importlib.import_module(info.name)
+            for _, obj in inspect.getmembers(module, inspect.isclass):
+                if obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                    found.add(obj)
+        assert found == {ClassOrder}
