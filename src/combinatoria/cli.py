@@ -1,12 +1,14 @@
 """Command-line surface over the whole library.
 
-Output contract, shared by every subcommand:
+Output contract, shared by every subcommand, each of whose leaves builds
+only the output of the format asked for:
 
 - ``--format human`` (default): an aligned table on stdout.
 - ``--format json``: one envelope object ``{"command", "format_version",
   "result"}``.  Every count is a decimal string, never a JSON number, so
   arbitrarily large values survive any JSON parser.
-- ``--format csv``: a header row plus data rows; non-numeric fields quoted.
+- ``--format csv``: a header row plus data rows, written to stdout row by
+  row; non-numeric fields quoted.
 
 The default format can be preset with the COMBINATORIA_FORMAT environment
 variable.  Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -45,13 +47,15 @@ def _default_format() -> str:
     return value if value in FORMATS else "human"
 
 
+_PERM_HEADER = ["one_line", "cycles", "cycle_type"]
+
+
+def _perm_row(p: Permutation) -> list[str]:
+    return [format_one_line(p), format_cycles(p), str(cycle_type(p))]
+
+
 def _perm_payload(p: Permutation) -> dict:
-    return {
-        "degree": p.degree,
-        "one_line": format_one_line(p),
-        "cycles": format_cycles(p),
-        "cycle_type": str(cycle_type(p)),
-    }
+    return {"degree": p.degree, **dict(zip(_PERM_HEADER, _perm_row(p)))}
 
 
 def _parse_problem_id(text: str):
@@ -65,83 +69,95 @@ def _parse_problem_id(text: str):
         ) from None
 
 
-# -- subcommand handlers --------------------------------------------------------
-# Each returns (result: dict for the JSON envelope, header, rows, exit_code).
-# Counts inside `result` are decimal strings; `rows` carry ints so the CSV
-# writer leaves them unquoted.  `caput enumerate` and `genealogy coords`
-# return `rows` as a generator, so --format json never builds a table row.
+# -- leaf handlers ---------------------------------------------------------------
+# Each leaf of the parser has one handler, which builds only what --format asks
+# for: the JSON result for json, with every count a decimal string, or else
+# (header, rows) for the table, with counts left as ints so the CSV writer
+# leaves them unquoted.  Only verify has a say in the exit code: it records on
+# args whether verification failed, and main turns that into exit 1.
+_Answer = dict | tuple[list[str], Iterable[Sequence]]
 
-def _cmd_perm(args) -> tuple[dict, list[str], list[list], int]:
+
+def _one_row(args, header: list[str], row: list) -> _Answer:
+    """A one-row answer: the table, or for json the row as an object whose
+    count fields are written in decimal."""
+    if args.format != "json":
+        return header, [row]
+    return {name: str(v) if name.endswith("count") else v for name, v in zip(header, row)}
+
+
+def _decimal(count: int | None) -> str | None:
+    return None if count is None else str(count)
+
+
+def _cell(count: int | None) -> int | str:
+    return "" if count is None else count
+
+
+def _cmd_perm_compose(args) -> _Answer:
+    p, q = parse_permutation(args.p), parse_permutation(args.q)
+    out = compose(p, q)
+    if args.format != "json":
+        return _PERM_HEADER, [_perm_row(out)]
+    return {
+        "operation": "compose",
+        "p": _perm_payload(p),
+        "q": _perm_payload(q),
+        "result": _perm_payload(out),
+    }
+
+
+def _cmd_perm_inverse(args) -> _Answer:
     p = parse_permutation(args.p)
-    if args.perm_op == "compose":
-        q = parse_permutation(args.q)
-        out = compose(p, q)
-        result = {
-            "operation": "compose",
-            "p": _perm_payload(p),
-            "q": _perm_payload(q),
-            "result": _perm_payload(out),
-        }
-    elif args.perm_op == "inverse":
-        out = inverse(p)
-        result = {
-            "operation": "inverse",
-            "p": _perm_payload(p),
-            "result": _perm_payload(out),
-        }
-    else:  # cycles
-        out = p
-        result = {
-            "operation": "cycles",
-            "result": _perm_payload(p),
-            "fixed_points": sorted(fixed_points(p)),
-        }
-    header = ["one_line", "cycles", "cycle_type"]
-    payload = result["result"]
-    rows = [[payload["one_line"], payload["cycles"], payload["cycle_type"]]]
-    return result, header, rows, 0
+    out = inverse(p)
+    if args.format != "json":
+        return _PERM_HEADER, [_perm_row(out)]
+    return {"operation": "inverse", "p": _perm_payload(p), "result": _perm_payload(out)}
 
 
-def _cmd_partitions(args) -> tuple[dict, list[str], list[list], int]:
-    n = args.n
-    if args.partitions_op == "count":
-        count = partitions_mod.count_partitions(n)
-        result = {"n": n, "count": str(count)}
-        return result, ["n", "count"], [[n, count]], 0
-    if args.partitions_op == "two-part":
-        count = partitions_mod.two_part_count(n)
-        result = {"n": n, "two_part_count": str(count)}
-        return result, ["n", "two_part_count"], [[n, count]], 0
-    items = partitions_mod.enumerate_partitions(n)
-    result = {
-        "n": n,
-        "count": str(len(items)),
-        "partitions": [str(p) for p in items],
+def _cmd_perm_cycles(args) -> _Answer:
+    p = parse_permutation(args.p)
+    if args.format != "json":
+        return _PERM_HEADER, [_perm_row(p)]
+    return {
+        "operation": "cycles",
+        "result": _perm_payload(p),
+        "fixed_points": sorted(fixed_points(p)),
     }
-    rows = [[str(p)] for p in items]
-    return result, ["partition"], rows, 0
 
 
-def _cmd_classes(args) -> tuple[dict, list[str], list[list], int]:
-    n = args.n
-    entries = []
-    rows = []
-    total = 0
-    for t in partitions_mod.cycle_types_of(n):
-        order = partitions_mod.class_order(t).order
-        total += order
+def _cmd_partitions_count(args) -> _Answer:
+    return _one_row(args, ["n", "count"], [args.n, partitions_mod.count_partitions(args.n)])
+
+
+def _cmd_partitions_two_part(args) -> _Answer:
+    count = partitions_mod.two_part_count(args.n)
+    return _one_row(args, ["n", "two_part_count"], [args.n, count])
+
+
+def _cmd_partitions_list(args) -> _Answer:
+    items = partitions_mod.enumerate_partitions(args.n)
+    if args.format != "json":
+        return ["partition"], ([str(p)] for p in items)
+    return {"n": args.n, "count": str(len(items)), "partitions": [str(p) for p in items]}
+
+
+def _cmd_classes(args) -> _Answer:
+    classes = []
+    for t in partitions_mod.cycle_types_of(args.n):
         partition = str(partitions_mod.cycle_type_to_partition(t))
-        entries.append(
-            {"cycle_type": str(t), "partition": partition, "order": str(order)}
-        )
-        rows.append([str(t), partition, order])
-    result = {
-        "n": n,
-        "class_count": str(len(entries)),
-        "order_total": str(total),
-        "classes": entries,
+        classes.append((str(t), partition, partitions_mod.class_order(t).order))
+    if args.format != "json":
+        return ["cycle_type", "partition", "order"], classes
+    return {
+        "n": args.n,
+        "class_count": str(len(classes)),
+        "order_total": str(sum(order for _, _, order in classes)),
+        "classes": [
+            {"cycle_type": t, "partition": partition, "order": str(order)}
+            for t, partition, order in classes
+        ],
     }
-    return result, ["cycle_type", "partition", "order"], rows, 0
 
 
 def _caput_spec_from_args(args) -> CaputSpec:
@@ -157,125 +173,110 @@ def _caput_echo(spec: CaputSpec) -> dict:
     }
 
 
-def _cmd_caput(args) -> tuple[dict, list[str], Iterable[list], int]:
+def _cmd_caput_count(args) -> _Answer:
     spec = _caput_spec_from_args(args)
-    if args.caput_op == "count":
-        count = count_caput(spec)
-        result = {"spec": _caput_echo(spec), "count": str(count)}
-        rows = [[spec.degree, ",".join(map(str, sorted(spec.head))), spec.mode.value, count]]
-        return result, ["degree", "head", "mode", "count"], rows, 0
+    count = count_caput(spec)
+    if args.format != "json":
+        head = ",".join(map(str, sorted(spec.head)))
+        return ["degree", "head", "mode", "count"], [[spec.degree, head, spec.mode.value, count]]
+    return {"spec": _caput_echo(spec), "count": str(count)}
+
+
+def _cmd_caput_enumerate(args) -> _Answer:
+    spec = _caput_spec_from_args(args)
     perms = list(enumerate_caput(spec))
-    result = {
+    if args.format != "json":
+        return _PERM_HEADER, map(_perm_row, perms)
+    return {
         "spec": _caput_echo(spec),
         "count": str(len(perms)),
         "permutations": [format_one_line(p) for p in perms],
     }
-    rows = ([format_one_line(p), format_cycles(p), str(cycle_type(p))] for p in perms)
-    return result, ["one_line", "cycles", "cycle_type"], rows, 0
 
 
-def _cmd_problems(args) -> tuple[dict, list[str], list[list], int]:
-    if args.problems_op == "solve":
-        outcome = problems_mod.solve(
-            args.id, args.n, args.k, with_witnesses=args.witnesses
-        )
-        result = {
-            "problem_id": outcome.problem_id,
-            "title": problems_mod.PROBLEM_TITLES[outcome.problem_id],
-            "inputs": outcome.inputs,
-            "status": outcome.status,
-            "count": None if outcome.count is None else str(outcome.count),
-        }
-        if outcome.witnesses is not None:
-            result["witnesses"] = [
-                sorted(w) if isinstance(w, frozenset) else list(w)
-                for w in outcome.witnesses
-            ]
-            result["truncated"] = outcome.truncated
-        rows = [
-            [
-                str(outcome.problem_id),
-                outcome.status,
-                "" if outcome.count is None else outcome.count,
-            ]
-        ]
-        return result, ["problem_id", "status", "count"], rows, 0
-    reduction = problems_mod.reduce_to_caput(args.id, args.n, args.k)
+def _cmd_problems_solve(args) -> _Answer:
+    outcome = problems_mod.solve(args.id, args.n, args.k, with_witnesses=args.witnesses)
+    if args.format != "json":
+        row = [str(outcome.problem_id), outcome.status, _cell(outcome.count)]
+        return ["problem_id", "status", "count"], [row]
     result = {
+        "problem_id": outcome.problem_id,
+        "title": problems_mod.PROBLEM_TITLES[outcome.problem_id],
+        "inputs": outcome.inputs,
+        "status": outcome.status,
+        "count": _decimal(outcome.count),
+    }
+    if outcome.witnesses is not None:
+        result["witnesses"] = [
+            sorted(w) if isinstance(w, frozenset) else list(w) for w in outcome.witnesses
+        ]
+        result["truncated"] = outcome.truncated
+    return result
+
+
+def _cmd_problems_reduce(args) -> _Answer:
+    reduction = problems_mod.reduce_to_caput(args.id, args.n, args.k)
+    if args.format != "json":
+        row = [
+            str(reduction.problem_id),
+            reduction.status,
+            _cell(reduction.direct_count),
+            _cell(reduction.caput_count),
+            "" if reduction.agrees is None else str(reduction.agrees).lower(),
+        ]
+        return ["problem_id", "status", "direct_count", "caput_count", "agrees"], [row]
+    return {
         "problem_id": reduction.problem_id,
         "inputs": reduction.inputs,
         "status": reduction.status,
-        "direct_count": None
-        if reduction.direct_count is None
-        else str(reduction.direct_count),
-        "caput_count": None
-        if reduction.caput_count is None
-        else str(reduction.caput_count),
+        "direct_count": _decimal(reduction.direct_count),
+        "caput_count": _decimal(reduction.caput_count),
         "head": reduction.head_description,
         "agrees": reduction.agrees,
         "note": reduction.note,
     }
-    rows = [
-        [
-            str(reduction.problem_id),
-            reduction.status,
-            "" if reduction.direct_count is None else reduction.direct_count,
-            "" if reduction.caput_count is None else reduction.caput_count,
-            "" if reduction.agrees is None else str(reduction.agrees).lower(),
-        ]
-    ]
-    return result, ["problem_id", "status", "direct_count", "caput_count", "agrees"], rows, 0
 
 
-def _cmd_genealogy(args) -> tuple[dict, list[str], Iterable[list], int]:
-    if args.genealogy_op == "personae":
-        model = genealogy_mod.GradusModel(args.gradus)
-        count = genealogy_mod.personae_count(args.gradus)
-        result = {
-            "gradus": model.gradus,
-            "cognationes": model.cognationes,
-            "count": str(count),
-        }
-        return result, ["gradus", "cognationes", "count"], [
-            [model.gradus, model.cognationes, count]
-        ], 0
-    if args.genealogy_op == "coords":
-        coords = genealogy_mod.coordinates(args.gradus)
-        result = {
-            "gradus": args.gradus,
-            "layout": genealogy_mod.LAYOUT_VERSION,
-            "count": str(len(coords)),
-            "coordinates": [[c.antecedens, c.sequens] for c in coords],
-        }
-        rows = ([c.antecedens, c.sequens] for c in coords)
-        return result, ["antecedens", "sequens"], rows, 0
+def _cmd_genealogy_personae(args) -> _Answer:
+    model = genealogy_mod.GradusModel(args.gradus)
+    count = genealogy_mod.personae_count(args.gradus)
+    header = ["gradus", "cognationes", "count"]
+    return _one_row(args, header, [model.gradus, model.cognationes, count])
+
+
+def _cmd_genealogy_coords(args) -> _Answer:
+    coords = genealogy_mod.coordinates(args.gradus)
+    pairs = ([c.antecedens, c.sequens] for c in coords)
+    if args.format != "json":
+        return ["antecedens", "sequens"], pairs
+    return {
+        "gradus": args.gradus,
+        "layout": genealogy_mod.LAYOUT_VERSION,
+        "count": str(len(coords)),
+        "coordinates": list(pairs),
+    }
+
+
+def _cmd_genealogy_discerptiones(args) -> _Answer:
     count = genealogy_mod.discerptiones_two(args.n)
-    result = {"cognationes": args.n, "two_part_count": str(count)}
-    return result, ["cognationes", "two_part_count"], [[args.n, count]], 0
+    return _one_row(args, ["cognationes", "two_part_count"], [args.n, count])
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], list[list], int]:
+def _cmd_verify(args) -> _Answer:
     reports = oracle_mod.verify_all(args.max_n)
     all_passed = all(r.passed for r in reports)
-    result = {
-        "max_n": args.max_n,
-        "all_passed": all_passed,
-        "reports": [
-            {
-                "claim": r.claim,
-                "range": r.n_range,
-                "verdict": r.verdict,
-                "counterexample": r.counterexample,
-            }
-            for r in reports
-        ],
-    }
-    rows = [[r.claim, r.n_range, r.verdict, r.counterexample or ""] for r in reports]
-    return result, ["claim", "range", "verdict", "counterexample"], rows, 0 if all_passed else 1
+    args.verification_failed = not all_passed
+    header = ["claim", "range", "verdict", "counterexample"]
+    if args.format != "json":
+        return header, [[r.claim, r.n_range, r.verdict, r.counterexample or ""] for r in reports]
+    entries = [
+        dict(zip(header, (r.claim, r.n_range, r.verdict, r.counterexample))) for r in reports
+    ]
+    return {"max_n": args.max_n, "all_passed": all_passed, "reports": entries}
 
 
 # -- output rendering ----------------------------------------------------------
-# json, csv and io are imported by the renderer that needs them: a request
+# json and csv are imported by the renderer that needs them: a request
 # renders one format, and each fresh interpreter pays only for its own.
 
 def render_json(command: str, result: dict) -> str:
@@ -285,15 +286,13 @@ def render_json(command: str, result: dict) -> str:
     return json.dumps(envelope, indent=2, ensure_ascii=False)
 
 
-def render_csv(header: list[str], rows: Iterable[list]) -> str:
+def render_csv(header: list[str], rows: Iterable[list]) -> None:
+    """Write the table to stdout as CSV, one row at a time."""
     import csv
-    import io
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer = csv.writer(sys.stdout, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
 
 
 def render_human(header: list[str], rows: Iterable[list]) -> str:
@@ -318,27 +317,27 @@ def _fill_perm(perm: argparse.ArgumentParser, common: argparse.ArgumentParser) -
     )
     perm_compose.add_argument("p", help="one-line [2,3,1] or cycle (123) form")
     perm_compose.add_argument("q", help="applied first")
-    perm_compose.set_defaults(handler=_cmd_perm)
+    perm_compose.set_defaults(handler=_cmd_perm_compose)
     perm_inverse = perm_sub.add_parser("inverse", parents=[common])
     perm_inverse.add_argument("p")
-    perm_inverse.set_defaults(handler=_cmd_perm)
+    perm_inverse.set_defaults(handler=_cmd_perm_inverse)
     perm_cycles = perm_sub.add_parser(
         "cycles", parents=[common], help="cycle decomposition and type"
     )
     perm_cycles.add_argument("p")
-    perm_cycles.set_defaults(handler=_cmd_perm)
+    perm_cycles.set_defaults(handler=_cmd_perm_cycles)
 
 
 def _fill_partitions(parts: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     parts_sub = parts.add_subparsers(dest="partitions_op", required=True)
-    for name, doc in (
-        ("count", "exact p(n)"),
-        ("list", "all partitions, largest first part first"),
-        ("two-part", "partitions into exactly two parts"),
+    for name, doc, handler in (
+        ("count", "exact p(n)", _cmd_partitions_count),
+        ("list", "all partitions, largest first part first", _cmd_partitions_list),
+        ("two-part", "partitions into exactly two parts", _cmd_partitions_two_part),
     ):
         sp = parts_sub.add_parser(name, parents=[common], help=doc)
         sp.add_argument("--n", type=int, required=True)
-        sp.set_defaults(handler=_cmd_partitions)
+        sp.set_defaults(handler=handler)
 
 
 def _fill_classes(classes: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
@@ -348,9 +347,9 @@ def _fill_classes(classes: argparse.ArgumentParser, common: argparse.ArgumentPar
 
 def _fill_caput(cap: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     cap_sub = cap.add_subparsers(dest="caput_op", required=True)
-    for name, doc in (
-        ("count", "closed-form count"),
-        ("enumerate", "lexicographic listing"),
+    for name, doc, handler in (
+        ("count", "closed-form count", _cmd_caput_count),
+        ("enumerate", "lexicographic listing", _cmd_caput_enumerate),
     ):
         sp = cap_sub.add_parser(name, parents=[common], help=doc)
         sp.add_argument("--n", type=int, required=True, help="degree")
@@ -364,7 +363,7 @@ def _fill_caput(cap: argparse.ArgumentParser, common: argparse.ArgumentParser) -
             choices=[m.value for m in HeadMode],
             default=HeadMode.LOOSE.value,
         )
-        sp.set_defaults(handler=_cmd_caput)
+        sp.set_defaults(handler=handler)
 
 
 def _fill_problems(probs: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
@@ -376,35 +375,27 @@ def _fill_problems(probs: argparse.ArgumentParser, common: argparse.ArgumentPars
     solve.add_argument(
         "--witnesses", action="store_true", help="include an explicit listing"
     )
-    solve.set_defaults(handler=_cmd_problems)
+    solve.set_defaults(handler=_cmd_problems_solve)
     reduce_p = probs_sub.add_parser(
         "reduce", parents=[common], help="recover the count through the head machinery"
     )
     reduce_p.add_argument("--id", type=_parse_problem_id, required=True)
     reduce_p.add_argument("--n", type=int, required=True)
     reduce_p.add_argument("--k", type=int, default=None)
-    reduce_p.set_defaults(handler=_cmd_problems)
+    reduce_p.set_defaults(handler=_cmd_problems_reduce)
 
 
 def _fill_genealogy(gen: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="genealogy_op", required=True)
-    personae = gen_sub.add_parser(
-        "personae", parents=[common], help="2^n * (n+1) persons at degree n"
-    )
-    personae.add_argument("--gradus", type=int, required=True)
-    personae.set_defaults(handler=_cmd_genealogy)
-    coords = gen_sub.add_parser(
-        "coords", parents=[common], help="every person's (antecedens, sequens)"
-    )
-    coords.add_argument("--gradus", type=int, required=True)
-    coords.set_defaults(handler=_cmd_genealogy)
-    disc = gen_sub.add_parser(
-        "discerptiones",
-        parents=[common],
-        help="two-part partitions of the rank count",
-    )
-    disc.add_argument("--n", type=int, required=True)
-    disc.set_defaults(handler=_cmd_genealogy)
+    for name, doc, size, handler in (
+        ("personae", "2^n * (n+1) persons at degree n", "--gradus", _cmd_genealogy_personae),
+        ("coords", "every person's (antecedens, sequens)", "--gradus", _cmd_genealogy_coords),
+        ("discerptiones", "two-part partitions of the rank count", "--n",
+         _cmd_genealogy_discerptiones),
+    ):
+        sp = gen_sub.add_parser(name, parents=[common], help=doc)
+        sp.add_argument(size, type=int, required=True)
+        sp.set_defaults(handler=handler)
 
 
 def _fill_verify(verify: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
@@ -467,18 +458,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        result, header, rows, exit_code = args.handler(args)
+        output = args.handler(args)
     except CombinatoriaError as exc:
         print(f"combinatoria: error: {exc}", file=sys.stderr)
         return 2
     else:
         if args.format == "json":
-            print(render_json(command, result))
+            print(render_json(command, output))
         elif args.format == "csv":
-            print(render_csv(header, rows))
+            render_csv(*output)
         else:
-            print(render_human(header, rows))
-        return exit_code
+            print(render_human(*output))
+        return 1 if getattr(args, "verification_failed", False) else 0
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

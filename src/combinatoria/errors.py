@@ -62,16 +62,25 @@ CEILINGS = MappingProxyType({
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
     # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.72 s, 49 MB RSS
     "verify sweep": Ceiling(8, "the max_n of a verification sweep", "a smaller max_n"),
+    # C(6325, 2) = 19,999,650 heads, listed at 13-15 M heads/s for k = 2..4:
+    # problems reduce --id 1 --k 2 1.55 s, and 1.56 s at C(149, 4) = 19,720,001
+    "reduction heads": Ceiling(
+        20_000_000, "the number of heads C(n, k) a reduction lists", "problems solve"
+    ),
     # The count rows keep the largest count to about 2 CPU s, computed and
-    # printed in decimal (Python 3.11, one core of a 2-core x86-64 box); the
-    # CLI converts a count to decimal twice and took 1.7-3.3 s at each row.
-    # 50000! has 213,237 digits: 0.04 s to compute, 0.67 s to print
+    # printed in decimal (Python 3.11, one core of a 2-core x86-64 box).  Each
+    # comment ends with the CPU s of the CLI request at the row, in any format:
+    # every format converts the count to decimal once.
+    # 50000! has 213,237 digits: 0.04 s to compute, 0.67 s to print; caput count 0.9-1.0 s
     "factorial count": Ceiling(50_000, "the m of a factorial count m!", "a smaller m"),
-    # D(50000) has 213,237 digits: 0.95 s to compute, 0.69 s to print
+    # D(50000) has 213,237 digits: 0.95 s to compute, 0.69 s to print;
+    # caput count --mode exact 2.4-2.7 s
     "derangement count": Ceiling(50_000, "the m of a derangement count D(m)", "a smaller m"),
-    # the personae count 2^1000000 * 1000001 has 301,036 digits: 1.39 s to print
+    # the personae count 2^1000000 * 1000001 has 301,036 digits: 1.39 s to print;
+    # genealogy personae 1.7 s
     "power-of-two count": Ceiling(1_000_000, "the n of a power-of-two count 2^n", "a smaller n"),
-    # C(300000, 150000) has 90,307 digits: 1.34 s to compute, 0.14 s to print
+    # C(300000, 150000) has 90,307 digits: 1.34 s to compute, 0.14 s to print;
+    # problems solve --id 1 --k 150000 1.8 s
     "binomial count": Ceiling(300_000, "the n of a binomial count C(n, k)", "a smaller n"),
 })
 

@@ -279,12 +279,36 @@ def solve(
     return ProblemResult(problem_id, inputs, count, witnesses, truncated)
 
 
+def _heads_listed(n: int, k: int, heads: int) -> int:
+    """Count the size-k heads over 1..n by listing them, once their number,
+    the direct count C(n, k), is within its ceiling.  These heads are the
+    exponent-k complexions, so the binomial formula is not reused."""
+    refuse_past("reduction heads", heads)
+    return sum(1 for _ in itertools.combinations(range(1, n + 1), k))
+
+
+def _loose(head: frozenset):
+    return lambda n, k, direct: count_caput(CaputSpec(degree=n, head=head, mode=HeadMode.LOOSE))
+
+
+# Each id whose count the head machinery recovers: that count, called with
+# (n, k, the direct count), and a template for the head it uses.
+_REDUCTIONS = {
+    **dict.fromkeys(
+        (1, 2, 3), (_heads_listed, "all size-{k} heads over 1..{n}, counted by enumeration")
+    ),
+    4: (_loose(frozenset()), "empty head, loose mode"),
+    5: (_loose(frozenset({1})), "monadic head at position 1, loose mode"),
+}
+
+
 def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> CaputReduction:
     """Recover a problem's count through head machinery and compare.
 
     Problem 4 is the empty-head LOOSE count; problem 5 the monadic-head LOOSE
     count; problems 1-3 count the possible heads of exponent k by listing
-    them.  Complexiones simpliciter cannot be reached this way: the result
+    them, refused past the "reduction heads" ceiling of C(n, k) heads, where
+    solve still gives the count.  Complexiones simpliciter cannot be reached this way: the result
     carries an explicit not-reducible marker, never a fabricated reduction.
     """
     if problem_id != SIMPLICITER and problem_id not in range(1, 7):
@@ -293,56 +317,29 @@ def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> Capu
             f"problems 7..12 are the machinery itself, not its clients"
         )
     inputs = {"n": n} if k is None else {"n": n, "k": k}
-
-    if problem_id == SIMPLICITER:
+    if problem_id not in _PROBLEMS:
+        return CaputReduction(
+            problem_id, inputs, status="not-specified-in-source", note=PROBLEM_TITLES[problem_id]
+        )
+    count_of, _, needs_k = _PROBLEMS[problem_id]
+    if needs_k and k is None:
+        raise InvariantViolationError(needs_k)
+    direct = count_of(n, k)
+    if problem_id not in _REDUCTIONS:
         return CaputReduction(
             problem_id,
             inputs,
             status="not-reducible",
-            direct_count=complexiones_simpliciter(n),
+            direct_count=direct,
             note="the sum over all exponents at once does not arise from any "
             "single invariant head",
         )
-    if problem_id in (1, 2, 3):
-        if k is None:
-            raise InvariantViolationError("complexion problems need the exponent k")
-        direct = complexions(n, k)
-        # The exponent-k complexions are exactly the possible heads of size k:
-        # count them by listing them, not by reusing the binomial formula.
-        via_heads = sum(1 for _ in itertools.combinations(range(1, n + 1), k))
-        return CaputReduction(
-            problem_id,
-            inputs,
-            status="ok",
-            direct_count=direct,
-            caput_count=via_heads,
-            head_description=f"all size-{k} heads over 1..{n}, counted by enumeration",
-        )
-    if problem_id == 4:
-        direct = variations_of_order(n)
-        spec = CaputSpec(degree=n, head=frozenset(), mode=HeadMode.LOOSE)
-        return CaputReduction(
-            problem_id,
-            inputs,
-            status="ok",
-            direct_count=direct,
-            caput_count=count_caput(spec),
-            head_description="empty head, loose mode",
-        )
-    if problem_id == 5:
-        direct = vicinity_variations(n)
-        spec = CaputSpec(degree=n, head=frozenset({1}), mode=HeadMode.LOOSE)
-        return CaputReduction(
-            problem_id,
-            inputs,
-            status="ok",
-            direct_count=direct,
-            caput_count=count_caput(spec),
-            head_description="monadic head at position 1, loose mode",
-        )
+    via_caput, head = _REDUCTIONS[problem_id]
     return CaputReduction(
         problem_id,
         inputs,
-        status="not-specified-in-source",
-        note=PROBLEM_TITLES[problem_id],
+        status="ok",
+        direct_count=direct,
+        caput_count=via_caput(n, k, direct),
+        head_description=head.format(n=n, k=k),
     )

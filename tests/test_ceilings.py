@@ -9,6 +9,8 @@ described in the message instead.
 """
 import contextlib
 import io
+import itertools
+import math
 
 import pytest
 
@@ -139,6 +141,32 @@ def test_cli_refuses_a_count_in_one_line(name, past):
     assert len(lines) == 1
     assert lines[0].startswith("combinatoria: error:")
     assert str(ceiling) in lines[0] and fallback in lines[0]
+
+
+REDUCTION_HEADS = CEILINGS["reduction heads"].limit
+# the first n whose C(n, 2) heads are past the ceiling: C(6326, 2) = 20,005,975
+PAST_HEADS = next(n for n in itertools.count(2) if math.comb(n, 2) > REDUCTION_HEADS)
+
+
+def test_reduction_refuses_to_list_heads_past_the_ceiling():
+    assert PAST_HEADS == 6326
+    with pytest.raises(EnumerationTooLargeError) as refused:
+        problems.reduce_to_caput(1, PAST_HEADS, 2)
+    assert str(REDUCTION_HEADS) in str(refused.value)
+    assert "problems solve" in str(refused.value)
+
+
+@pytest.mark.parametrize("n, k", [(PAST_HEADS, 2), (100_000, 3)])
+def test_cli_refuses_a_reduction_past_the_heads_ceiling(n, k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["problems", "reduce", "--id", "1", "--n", str(n), "--k", str(k)])
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("combinatoria: error:")
+    assert str(REDUCTION_HEADS) in lines[0] and "problems solve" in lines[0]
 
 
 # name: (a call with a printable value, its message, the call with HUGE there)

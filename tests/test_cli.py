@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import combinatoria.cli as cli_mod
+import combinatoria.perm as perm_mod
+from combinatoria import OracleReport
 from combinatoria.caput import DEFAULT_ENUMERATION_CEILING as CAPUT_CEILING
 from combinatoria.cli import main
 from combinatoria.genealogy import COORDINATE_CEILING
@@ -113,6 +115,33 @@ class TestCaputCommand:
         assert code == 0
         assert payload["result"]["count"] == "120"
 
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_each_format_converts_the_count_once(self, capsys, monkeypatch, fmt):
+        conversions = []
+
+        class Counted(int):
+            def __str__(self):
+                conversions.append(fmt)
+                return int.__str__(self)
+
+        monkeypatch.setattr(cli_mod, "count_caput", lambda spec: Counted(6))
+        code, out, _ = run(capsys, "caput", "count", "--n", "4", "--head", "1=a", "--format", fmt)
+        assert code == 0 and "6" in out
+        assert len(conversions) == 1
+
+    def test_csv_listing_formats_each_permutation_once(self, capsys, monkeypatch):
+        formatted = []
+
+        def counted(p):
+            formatted.append(p)
+            return perm_mod.format_one_line(p)
+
+        monkeypatch.setattr(cli_mod, "format_one_line", counted)
+        code, out, _ = run(capsys, "caput", "enumerate", "--n", "5", "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 120
+        assert len(formatted) == 120
+
     def test_displaced_head_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "caput", "count", "--n", "4", "--head", "1=b")
         assert code == 2
@@ -205,6 +234,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--max-n", "3", "--format", "human")
         assert code == 0
         assert out.count("pass") >= 9
+
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_exit_one_when_a_check_fails(self, capsys, monkeypatch, fmt):
+        failed = OracleReport("a claim", "n=1..2", passed=False, counterexample="n=2")
+        monkeypatch.setattr(cli_mod.oracle_mod, "verify_all", lambda max_n: [failed])
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--format", fmt)
+        assert code == 1
+        assert "fail" in out and err == ""
 
 
 class TestEnvelope:
