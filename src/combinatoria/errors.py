@@ -58,9 +58,9 @@ CEILINGS = MappingProxyType({
     "coordinate listing": Ceiling(20, "the gradus of a coordinate listing", "personae_count"),
     # (10-1)! = 362,880 representatives
     "vicinity listing": Ceiling(10, "the n of a vicinity class listing", "vicinity_variations"),
-    # 9! = 362,880 permutations: the census of S_9 takes about 2.4 CPU s
+    # 9! = 362,880 permutations: the census of S_9 takes about 1.4 CPU s
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
-    # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.72 s, 49 MB RSS
+    # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.64 s, 50 MB RSS
     "verify sweep": Ceiling(8, "the max_n of a verification sweep", "a smaller max_n"),
     # C(6325, 2) = 19,999,650 heads, listed at 13-15 M heads/s for k = 2..4:
     # problems reduce --id 1 --k 2 1.55 s, and 1.56 s at C(149, 4) = 19,720,001

@@ -214,12 +214,18 @@ class CaputReduction(Value):
         return self.direct_count == self.caput_count
 
 
+def _subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The size-k subsets of 1..n in lexicographic order.  For k > n there
+    are none, and the pool of n points combinations would build is skipped."""
+    return itertools.combinations(range(1, n + 1), k) if k <= n else iter(())
+
+
 # Each solvable id: its count and its witness stream, both called with
 # (n, k), and the error when k is needed but missing.  The lambdas look the
 # functions up when called, so a rebound module name is seen.
 _COMPLEXION = (
     lambda n, k: complexions(n, k),
-    lambda n, k: map(frozenset, itertools.combinations(range(1, n + 1), k)),
+    lambda n, k: map(frozenset, _subsets(n, k)),
     "complexion problems need the exponent k",
 )
 _PROBLEMS = {
@@ -284,7 +290,7 @@ def _heads_listed(n: int, k: int, heads: int) -> int:
     the direct count C(n, k), is within its ceiling.  These heads are the
     exponent-k complexions, so the binomial formula is not reused."""
     refuse_past("reduction heads", heads)
-    return sum(1 for _ in itertools.combinations(range(1, n + 1), k))
+    return sum(1 for _ in _subsets(n, k))
 
 
 def _loose(head: frozenset):

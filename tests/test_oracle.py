@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -71,6 +72,29 @@ class TestEnumerateSn:
             list(enumerate_sn(0))
 
 
+# sha256 of each census's fields, every field in sorted order, captured from
+# the earlier walk that listed a (length, mask) pair per cycle
+CENSUS_DIGESTS = {
+    1: "0f372ced861214b951c57413bc2f1e7d2b1c66eb6d9b5925769457ab26fa85f9",
+    2: "a18dee7c396917dd9de1de899732134b7ab764d741abe4b387802bf233405c10",
+    3: "358eab2581dc4af512b41076e80fcd12eef8657ebfbde9d23b745acc558cf26e",
+    4: "49de5d1348632cb23ad2e7cc7e2f437426965b50314ac1158c82aa6f5fcae193",
+    5: "2332b8cd38767009b6d1896890bee70ae6e7dc871ffb1abe4a65508ce4196c25",
+    6: "8bae744a6863280f6e6fac9d2f3c2b2aa2856dbd0406b440050d24761025ea03",
+    7: "dc4cab14ac9a8c08e1a1497fb40e081a71943678d59dff17455863956a48e7b6",
+    8: "fa6062c0cf1a79829882beaee5ea8d84b853b45df916d043410f99859997fe63",
+}
+
+
+def _walk_names(code) -> set[str]:
+    # the global and attribute names a function's code reads, nested code included
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _walk_names(const)
+    return names
+
+
 class TestFilterCounters:
     def test_caput_filter_reproduces_the_six_rows(self):
         assert count_caput_by_filter(4, frozenset({1}), HeadMode.LOOSE) == 6
@@ -130,6 +154,28 @@ class TestFilterCounters:
         assert count_derangements_by_filter(n) == head_counts[frozenset(), HeadMode.EXACT]
         assert rotation_class_census(n) == rotations
 
+    @pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+    def test_census_is_pinned_by_digest(self, n):
+        census = oracle_mod._census(n)
+        fields = (
+            sorted(census.cycle_types.items()),
+            sorted(census.fixed.items()),
+            sorted(census.invariant.items()),
+            sorted(census.rotations),
+        )
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == CENSUS_DIGESTS[n]
+
+    def test_the_walk_imports_nothing_it_checks(self):
+        # the cycle walk is the oracle's own: no closed-form module, nor the
+        # permutation and head types, is reached from the census
+        census_names = _walk_names(oracle_mod._census.__wrapped__.__code__)
+        assert "_orbit_masks" in census_names
+        names = census_names | _walk_names(oracle_mod._orbit_masks.__code__)
+        forbidden = {
+            "caput", "partitions", "problems", "genealogy", "perm", "Permutation", "HeadMode",
+        }
+        assert names.isdisjoint(forbidden), names & forbidden
+
     @pytest.mark.parametrize(
         "census",
         [
@@ -177,6 +223,26 @@ class TestVerifyAll:
         finally:
             tracemalloc.stop()
         assert checked < 1.5 * alone
+
+    def test_genealogy_check_frees_each_gradus_before_the_next(self, monkeypatch):
+        true_coordinates = genealogy_mod.coordinates
+        freed, built_early = [], []
+
+        class Tracked(list):
+            def __del__(self):
+                freed.append(self.gradus)
+
+        def tracked(gradus):
+            if gradus >= 1 and gradus - 1 not in freed:
+                built_early.append(gradus)
+            coords = Tracked(true_coordinates(gradus))
+            coords.gradus = gradus
+            return coords
+
+        monkeypatch.setattr(genealogy_mod, "coordinates", tracked)
+        assert list(oracle_mod._check_genealogy(8)) == []
+        assert built_early == []
+        assert freed == list(range(9))
 
     def test_out_of_range(self):
         with pytest.raises(EnumerationTooLargeError):

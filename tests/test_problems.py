@@ -276,6 +276,22 @@ class TestReduceToCaput:
         record = reduce_to_caput(6, n=4)
         assert record.status == "not-specified-in-source"
 
+    def test_exponent_past_the_whole_lists_nothing_without_the_pool(self):
+        n = 2_000_000
+        tracemalloc.start()
+        try:
+            record = reduce_to_caput(1, n, n + 1)
+            reduced = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            result = solve(1, n, n + 1, with_witnesses=True)
+            solved = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a pool of 2M points takes about 96 MB
+        assert reduced < 1_000_000 and solved < 1_000_000
+        assert record.direct_count == record.caput_count == 0
+        assert result.count == 0 and result.witnesses == () and not result.truncated
+
     def test_head_problems_are_not_reduction_targets(self):
         with pytest.raises(InvariantViolationError):
             reduce_to_caput(7, n=4, k=1)
