@@ -159,10 +159,13 @@ def derangements(m: int) -> int:
 def derangements_by_inclusion_exclusion(m: int) -> int:
     """Same D(m) by the alternating sum over forced fixed points.
 
-    Kept as a second, formula-independent route; the two must agree.
+    Kept as a second, formula-independent route; the two must agree.  The
+    sum has m + 1 terms of up to m! each, so it is refused past its own row
+    of ``CEILINGS``, far below the derangement row.
     """
     if m < 0:
         raise InvariantViolationError("derangements are defined for m >= 0")
+    refuse_past("inclusion-exclusion sum", m)
     return sum((-1) ** j * math.comb(m, j) * math.factorial(m - j) for j in range(m + 1))
 
 

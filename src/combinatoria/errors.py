@@ -62,6 +62,14 @@ CEILINGS = MappingProxyType({
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
     # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.64 s, 50 MB RSS
     "verify sweep": Ceiling(8, "the max_n of a verification sweep", "a smaller max_n"),
+    # p(57) = 614,154 partitions walked one by one: 1.6-2.2 s (n = 60 took 3.7 s)
+    "partition walk": Ceiling(57, "the n of a partition walk", "count_partitions"),
+    # 30,000,000 candidate pairs (a, n - a): 1.6-1.8 s
+    "pair listing": Ceiling(30_000_000, "the n of a two-part pair listing", "two_part_count"),
+    # 3501 terms C(m, j) * (m - j)! at m = 3500: 1.25-1.45 s (m = 4000 took 2.3-2.5 s)
+    "inclusion-exclusion sum": Ceiling(
+        3_500, "the m of an inclusion-exclusion derangement sum", "derangements"
+    ),
     # C(6325, 2) = 19,999,650 heads, listed at 13-15 M heads/s for k = 2..4:
     # problems reduce --id 1 --k 2 1.55 s, and 1.56 s at C(149, 4) = 19,720,001
     "reduction heads": Ceiling(

@@ -167,6 +167,7 @@ def count_partitions_by_enumeration(n: int) -> int:
     """p(n) by walking every partition; no recurrence involved."""
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
+    refuse_past("partition walk", n)
 
     def walk(remaining: int, cap: int) -> int:
         if remaining == 0:
@@ -181,6 +182,7 @@ def count_partitions_by_enumeration(n: int) -> int:
 
 def count_two_part_by_enumeration(n: int) -> int:
     """Two-part partitions by listing the pairs (a, n-a) with a >= n-a >= 1."""
+    refuse_past("pair listing", n)
     return sum(1 for a in range(1, n) if a >= n - a)
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from ._value import Value
 from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
-from .perm import CycleType
+from .perm import CycleType, _trusted_cycle_type
 
 __all__ = [
     "Partition",
@@ -174,26 +175,59 @@ class ClassOrder:
             raise InvariantViolationError("a conjugacy class has at least one element")
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted_class_order(degree: int, cycle_type: CycleType, order: int) -> ClassOrder:
+    """A ClassOrder whose order is already known to be at least 1.
+
+    Sets the three fields as the frozen dataclass's own ``__init__`` does,
+    without its keyword handling and ``__post_init__`` check.
+    """
+    c = _new_object(ClassOrder)
+    _set_field(c, "degree", degree)
+    _set_field(c, "cycle_type", cycle_type)
+    _set_field(c, "order", order)
+    return c
+
+
 def class_order(t: CycleType) -> ClassOrder:
     """Size of the class with cycle structure t.
 
-    n! divided by the product of i^alpha_i * alpha_i!, all exact integers;
-    absent cycle lengths (alpha_i = 0) contribute 1 and are skipped.
+    n! divided by the product of i^alpha_i * alpha_i!, all exact integers.
+    Only the cycle lengths present in t are visited; an absent length
+    (alpha_i = 0) would contribute 1.  The product is the order of the
+    centralizer, a divisor of n!, so the quotient is at least 1 and the
+    result skips ``ClassOrder``'s check.
+
+    >>> class_order(CycleType(4, (1, 0, 1, 0))).order
+    8
     """
     n = t.degree
+    alpha = t.alpha
     denominator = 1
-    for i, a in enumerate(t.alpha, start=1):
-        if a:
-            denominator *= i**a * math.factorial(a)
-    order = math.factorial(n) // denominator
-    return ClassOrder(degree=n, cycle_type=t, order=order)
+    for i in compress(range(1, n + 1), alpha):
+        a = alpha[i - 1]
+        denominator *= i**a * math.factorial(a)
+    return _trusted_class_order(n, t, math.factorial(n) // denominator)
+
+
+def _alpha(n: int, parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle-count vector of a partition of n into the given parts."""
+    alpha = [0] * n
+    for length in parts:
+        alpha[length - 1] += 1
+    return tuple(alpha)
 
 
 def partition_to_cycle_type(p: Partition) -> CycleType:
     """Read the parts as cycle lengths of a permutation of degree sum(parts)."""
-    if p.total < 1:
+    n = p.total
+    if n < 1:
         raise InvariantViolationError("the empty partition names no cycle type")
-    return CycleType.from_cycle_lengths(p.total, p.parts)
+    # checked positive parts summing to n: each length lies in 1..n
+    return _trusted_cycle_type(n, _alpha(n, p.parts))
 
 
 def cycle_type_to_partition(t: CycleType) -> Partition:
@@ -208,10 +242,5 @@ def cycle_types_of(n: int) -> list[CycleType]:
     """
     if n < 1:
         raise InvariantViolationError("S_n needs n >= 1")
-    types = []
-    for parts in _descending_parts(n):
-        alpha = [0] * n
-        for length in parts:
-            alpha[length - 1] += 1
-        types.append(CycleType(n, tuple(alpha)))
-    return types
+    # ZS1 yields partitions of n, so every alpha weighs up to n
+    return [_trusted_cycle_type(n, _alpha(n, parts)) for parts in _descending_parts(n)]

@@ -57,6 +57,19 @@ GUARDS = {
         oracle.count_derangements_by_filter, oracle.SN_CEILING, "closed form"
     ),
     "verify_all": (oracle.verify_all, 8, "max_n"),
+    "count_partitions_by_enumeration": (
+        oracle.count_partitions_by_enumeration,
+        CEILINGS["partition walk"].limit,
+        "count_partitions",
+    ),
+    "count_two_part_by_enumeration": (
+        oracle.count_two_part_by_enumeration, CEILINGS["pair listing"].limit, "two_part_count"
+    ),
+    "derangements_by_inclusion_exclusion": (
+        caput.derangements_by_inclusion_exclusion,
+        CEILINGS["inclusion-exclusion sum"].limit,
+        "derangements",
+    ),
     "from_cycles": (lambda n: perm.from_cycles([(1, n)]), perm.DEGREE_CEILING, "parse_one_line"),
     "from_cycles degree": (
         lambda n: perm.from_cycles([(1, 2)], degree=n), perm.DEGREE_CEILING, "parse_one_line"

@@ -57,6 +57,8 @@ def corpus() -> dict[str, list[list[str]]]:
         "partitions list": _sizes("partitions", "list", "--n", (-1, 0, 1, 2, 5, 8, 121)),
         "partitions two-part": _sizes("partitions", "two-part", "--n", (-1, 0, 1, 7, 10**6)),
         "classes": _sizes("classes", "--n", (-1, 0, 1, 2, 4, 7, 121)),
+        # 77 classes, the first with two-digit cycle lengths (α₁₀ to α₁₂)
+        "classes wide": _sizes("classes", "--n", (12,)),
         "caput count": _formatted(
             *(
                 ["caput", "count", "--n", str(n), "--head", head, "--mode", mode]
@@ -147,6 +149,7 @@ DIGESTS = {
     "partitions list": "8f593f5898257c7a5235df05ce7b46006e60653c66dc0ca137da9d6e6634b924",
     "partitions two-part": "c57c4a47c05453fec2256d69206f31c1972b988ef736838152fcdbe14ee38b85",
     "classes": "04ba4331cf35224a3bae06e6dd83378b63dc06668aa243ba43eb80fcd4948fc4",
+    "classes wide": "3bd6982833811a00146e72db34965dd75a5a271b9b2acaf5fe741e7270d1da5e",
     "caput count": "a5b37925c3daa9321eb6cfd04cf5ceb95f563cb42bb07809aa6e91f638c399e3",
     "caput enumerate": "40de222966d0d8e71628fa96ad58ae7e6f8d515eb61fff768a2bb7403d58ba10",
     "problems solve": "4132262b2938ddf482bf910c8529761a013dc5d90539ce24ac8dc2531c7184b8",
@@ -168,8 +171,9 @@ def fixed_terminal(monkeypatch):
 
 def test_the_corpus_covers_every_leaf_in_every_format():
     groups = corpus()
-    leaves = set(groups) - {"usage", "help"}
+    leaves = set(groups) - {"usage", "help", "classes wide"}
     assert len(leaves) == 15
+    assert {argv[-1] for argv in groups["classes wide"]} == set(FORMATS)
     for leaf in leaves:
         assert {argv[-1] for argv in groups[leaf]} == set(FORMATS)
     assert sum(map(len, groups.values())) >= 1000

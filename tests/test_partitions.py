@@ -218,3 +218,53 @@ class TestCycleTypesOf:
     def test_empty_partition_names_no_type(self):
         with pytest.raises(InvariantViolationError):
             partition_to_cycle_type(Partition(()))
+
+
+# -- the class listing against a second route ------------------------------------
+# The readers below loop over every i in 1..n, absent lengths included, as
+# the library did before it read only the lengths present in alpha.
+
+_SUBSCRIPT_DIGITS = "₀₁₂₃₄₅₆₇₈₉"
+
+
+def _order_over_every_length(t: CycleType) -> int:
+    denominator = 1
+    for i, a in enumerate(t.alpha, start=1):
+        denominator *= i**a * math.factorial(a)
+    return math.factorial(t.degree) // denominator
+
+
+def _lengths_over_every_length(t: CycleType) -> tuple[int, ...]:
+    out = []
+    for length in range(t.degree, 0, -1):
+        out.extend([length] * t.alpha[length - 1])
+    return tuple(out)
+
+
+def _text_over_every_length(t: CycleType) -> str:
+    parts = []
+    for i, a in enumerate(t.alpha, start=1):
+        if a > 0:
+            subscript = "".join(_SUBSCRIPT_DIGITS[int(d)] for d in str(i))
+            parts.append(f"α{subscript}={a}")
+    return " ".join(parts)
+
+
+class TestListingAgainstSecondRoute:
+    def test_listing_equals_validated_types_of_the_partitions(self):
+        for n in range(1, 31):
+            assert cycle_types_of(n) == [
+                CycleType.from_cycle_lengths(n, p.parts) for p in enumerate_partitions(n)
+            ]
+
+    def test_readers_equal_loops_over_every_length(self):
+        for n in range(1, 31):
+            for t in cycle_types_of(n):
+                assert class_order(t).order == _order_over_every_length(t)
+                assert t.cycle_lengths() == _lengths_over_every_length(t)
+                assert str(t) == _text_over_every_length(t)
+
+    def test_two_digit_lengths(self):
+        assert str(CycleType.from_cycle_lengths(12, [12])) == "α₁₂=1"
+        assert str(CycleType.from_cycle_lengths(23, [10, 10, 2, 1])) == "α₁=1 α₂=1 α₁₀=2"
+        assert CycleType.from_cycle_lengths(23, [1, 10, 2, 10]).cycle_lengths() == (10, 10, 2, 1)

@@ -2,8 +2,12 @@
 
 compose, inverse, from_cycles (and so parse_cycles), vicinity_classes,
 canonical_vicinity and enumerate_caput build their Permutations from already
-checked data without running the constructor's checks; TreeCoordinate has a hand-written __init__.  Each must
-be indistinguishable from an object built through the public constructor.
+checked data without running the constructor's checks; cycle_types_of and
+partition_to_cycle_type build their CycleTypes, and class_order its
+ClassOrder, the same way; TreeCoordinate has a hand-written __init__.  Each
+must be indistinguishable from an object built through the public
+constructor.  Every trusted builder is a module-level name starting with
+``_trusted``, and each has a row in TRUSTED_BUILDERS.
 
 The value classes are slotted classes, not dataclasses; each must behave as
 the frozen dataclass it replaced: the same equality, hash, repr, frozenness,
@@ -26,7 +30,14 @@ from combinatoria.caput import CaputSpec, HeadMode, enumerate_caput
 from combinatoria.errors import InvariantViolationError
 from combinatoria.genealogy import GradusModel, TreeCoordinate, coordinates
 from combinatoria.oracle import OracleReport
-from combinatoria.partitions import ClassOrder, Partition
+from combinatoria.partitions import (
+    ClassOrder,
+    Partition,
+    class_order,
+    cycle_types_of,
+    enumerate_partitions,
+    partition_to_cycle_type,
+)
 from combinatoria.perm import (
     Cycle,
     CycleType,
@@ -118,6 +129,69 @@ class TestTreeCoordinate:
     def test_negative_rejected(self, pair):
         with pytest.raises(InvariantViolationError):
             TreeCoordinate(*pair)
+
+
+# -- every trusted builder against the validating constructor --------------------
+
+def _listed_types():
+    for n in range(1, 31):
+        yield from cycle_types_of(n)
+
+
+def _permutation_pairs():
+    perms = [Permutation((3, 1, 2, 5, 4)), Permutation((2, 1)), Permutation((1,))]
+    built = [identity(6), parse_cycles("(13)(2)"), *vicinity_classes(5)]
+    built += [compose(p, q) for p in perms for q in perms if p.degree == q.degree]
+    built += [inverse(p) for p in perms]
+    built += enumerate_caput(CaputSpec(degree=4, head=frozenset({2})))
+    return [(p, Permutation(p.image)) for p in built]
+
+
+# builder: the pairs (an object it built, the same value built by the
+# validating constructor) that must be indistinguishable
+TRUSTED_BUILDERS = {
+    "perm._trusted": _permutation_pairs,
+    "perm._trusted_cycle_type": lambda: (
+        (t, CycleType(t.degree, t.alpha))
+        for t in itertools.chain(
+            _listed_types(), map(partition_to_cycle_type, enumerate_partitions(12))
+        )
+    ),
+    "partitions._trusted_class_order": lambda: (
+        (c, ClassOrder(degree=c.degree, cycle_type=c.cycle_type, order=c.order))
+        for c in map(class_order, _listed_types())
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", TRUSTED_BUILDERS)
+def test_trusted_objects_are_indistinguishable(builder):
+    for trusted, validated in TRUSTED_BUILDERS[builder]():
+        assert type(trusted) is type(validated)
+        assert trusted == validated and not (trusted != validated)
+        assert hash(trusted) == hash(validated)
+        assert repr(trusted) == repr(validated)
+        pickled = pickle.dumps(trusted, pickle.HIGHEST_PROTOCOL)
+        assert pickled == pickle.dumps(validated, pickle.HIGHEST_PROTOCOL)
+        assert pickle.loads(pickled) == validated
+
+
+def test_every_trusted_builder_has_a_row():
+    found = set()
+    for info in pkgutil.iter_modules(combinatoria.__path__, "combinatoria."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_trusted") and getattr(obj, "__module__", None) == info.name:
+                found.add(info.name.removeprefix("combinatoria.") + "." + name)
+    assert found == set(TRUSTED_BUILDERS)
+
+
+def test_a_trusted_class_order_still_checks_its_replacements():
+    # dataclasses.replace runs __init__ and so __post_init__ again
+    for t in cycle_types_of(6):
+        with pytest.raises(InvariantViolationError):
+            dataclasses.replace(class_order(t), order=0)
+        assert dataclasses.replace(class_order(t), order=1).order == 1
 
 
 # -- the value classes against the dataclasses they replaced ---------------------
