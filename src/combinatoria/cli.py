@@ -12,6 +12,11 @@ only the output of the format asked for:
 
 The default format can be preset with the COMBINATORIA_FORMAT environment
 variable.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+Every command and leaf is one row of ``_COMMANDS``.  To add a leaf, write its
+``_cmd_*`` handler, which returns the JSON result or (header, rows), and add
+its row: its name, help, arguments and handler.  The parser, ``--format``
+and the rendering follow from the row.
 """
 from __future__ import annotations
 
@@ -307,139 +312,99 @@ def render_human(header: list[str], rows: Iterable[list]) -> str:
 
 
 # -- parser ---------------------------------------------------------------------
-# Each fill function adds a command's sub-commands and arguments to its
-# parser; ``common`` carries --format, so it can trail the invocation.
+# One row per command: its help, then its leaves.  A leaf is (name, help,
+# arguments, handler); a leaf named None is the command itself, and a leaf
+# without help is listed by name only.  An argument is (flag, argparse
+# keywords).  build_parser gives every leaf --format first, so to add a leaf,
+# write its handler above and add one row here.
 
-def _fill_perm(perm: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    perm_sub = perm.add_subparsers(dest="perm_op", required=True)
-    perm_compose = perm_sub.add_parser(
-        "compose", parents=[common], help="right-to-left product p∘q"
-    )
-    perm_compose.add_argument("p", help="one-line [2,3,1] or cycle (123) form")
-    perm_compose.add_argument("q", help="applied first")
-    perm_compose.set_defaults(handler=_cmd_perm_compose)
-    perm_inverse = perm_sub.add_parser("inverse", parents=[common])
-    perm_inverse.add_argument("p")
-    perm_inverse.set_defaults(handler=_cmd_perm_inverse)
-    perm_cycles = perm_sub.add_parser(
-        "cycles", parents=[common], help="cycle decomposition and type"
-    )
-    perm_cycles.add_argument("p")
-    perm_cycles.set_defaults(handler=_cmd_perm_cycles)
+_N = [("--n", {"type": int, "required": True})]
+_GRADUS = [("--gradus", {"type": int, "required": True})]
+_CAPUT = [
+    ("--n", {"type": int, "required": True, "help": "degree"}),
+    ("--head", {"default": "", "help": "comma list like 1=a,3=c; empty for no constraint"}),
+    ("--mode", {"choices": [m.value for m in HeadMode], "default": HeadMode.LOOSE.value}),
+]
+_PROBLEM = [
+    ("--id", {"type": _parse_problem_id, "required": True}),
+    ("--n", {"type": int, "required": True}),
+    ("--k", {"type": int, "default": None}),
+]
+_P = [("p", {})]
 
-
-def _fill_partitions(parts: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    parts_sub = parts.add_subparsers(dest="partitions_op", required=True)
-    for name, doc, handler in (
-        ("count", "exact p(n)", _cmd_partitions_count),
-        ("list", "all partitions, largest first part first", _cmd_partitions_list),
-        ("two-part", "partitions into exactly two parts", _cmd_partitions_two_part),
-    ):
-        sp = parts_sub.add_parser(name, parents=[common], help=doc)
-        sp.add_argument("--n", type=int, required=True)
-        sp.set_defaults(handler=handler)
-
-
-def _fill_classes(classes: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    classes.add_argument("--n", type=int, required=True)
-    classes.set_defaults(handler=_cmd_classes)
-
-
-def _fill_caput(cap: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    cap_sub = cap.add_subparsers(dest="caput_op", required=True)
-    for name, doc, handler in (
-        ("count", "closed-form count", _cmd_caput_count),
-        ("enumerate", "lexicographic listing", _cmd_caput_enumerate),
-    ):
-        sp = cap_sub.add_parser(name, parents=[common], help=doc)
-        sp.add_argument("--n", type=int, required=True, help="degree")
-        sp.add_argument(
-            "--head",
-            default="",
-            help="comma list like 1=a,3=c; empty for no constraint",
-        )
-        sp.add_argument(
-            "--mode",
-            choices=[m.value for m in HeadMode],
-            default=HeadMode.LOOSE.value,
-        )
-        sp.set_defaults(handler=handler)
-
-
-def _fill_problems(probs: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    probs_sub = probs.add_subparsers(dest="problems_op", required=True)
-    solve = probs_sub.add_parser("solve", parents=[common])
-    solve.add_argument("--id", type=_parse_problem_id, required=True)
-    solve.add_argument("--n", type=int, required=True)
-    solve.add_argument("--k", type=int, default=None)
-    solve.add_argument(
-        "--witnesses", action="store_true", help="include an explicit listing"
-    )
-    solve.set_defaults(handler=_cmd_problems_solve)
-    reduce_p = probs_sub.add_parser(
-        "reduce", parents=[common], help="recover the count through the head machinery"
-    )
-    reduce_p.add_argument("--id", type=_parse_problem_id, required=True)
-    reduce_p.add_argument("--n", type=int, required=True)
-    reduce_p.add_argument("--k", type=int, default=None)
-    reduce_p.set_defaults(handler=_cmd_problems_reduce)
-
-
-def _fill_genealogy(gen: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    gen_sub = gen.add_subparsers(dest="genealogy_op", required=True)
-    for name, doc, size, handler in (
-        ("personae", "2^n * (n+1) persons at degree n", "--gradus", _cmd_genealogy_personae),
-        ("coords", "every person's (antecedens, sequens)", "--gradus", _cmd_genealogy_coords),
-        ("discerptiones", "two-part partitions of the rank count", "--n",
+_COMMANDS = {
+    "perm": ("compose, invert or decompose permutations", [
+        ("compose", "right-to-left product p∘q", [
+            ("p", {"help": "one-line [2,3,1] or cycle (123) form"}),
+            ("q", {"help": "applied first"}),
+        ], _cmd_perm_compose),
+        ("inverse", None, _P, _cmd_perm_inverse),
+        ("cycles", "cycle decomposition and type", _P, _cmd_perm_cycles),
+    ]),
+    "partitions": ("integer partition counting and listing", [
+        ("count", "exact p(n)", _N, _cmd_partitions_count),
+        ("list", "all partitions, largest first part first", _N, _cmd_partitions_list),
+        ("two-part", "partitions into exactly two parts", _N, _cmd_partitions_two_part),
+    ]),
+    "classes": ("conjugacy classes of S_n with their exact orders", [
+        (None, None, _N, _cmd_classes),
+    ]),
+    "caput": ("fixed-head variation counts and listings", [
+        ("count", "closed-form count", _CAPUT, _cmd_caput_count),
+        ("enumerate", "lexicographic listing", _CAPUT, _cmd_caput_enumerate),
+    ]),
+    "problems": ("the numbered classical problems", [
+        ("solve", None, [
+            *_PROBLEM,
+            ("--witnesses", {"action": "store_true", "help": "include an explicit listing"}),
+        ], _cmd_problems_solve),
+        ("reduce", "recover the count through the head machinery", _PROBLEM,
+         _cmd_problems_reduce),
+    ]),
+    "genealogy": ("consanguinity-tree counts and coordinates", [
+        ("personae", "2^n * (n+1) persons at degree n", _GRADUS, _cmd_genealogy_personae),
+        ("coords", "every person's (antecedens, sequens)", _GRADUS, _cmd_genealogy_coords),
+        ("discerptiones", "two-part partitions of the rank count", _N,
          _cmd_genealogy_discerptiones),
-    ):
-        sp = gen_sub.add_parser(name, parents=[common], help=doc)
-        sp.add_argument(size, type=int, required=True)
-        sp.set_defaults(handler=handler)
+    ]),
+    "verify": ("run every closed form against the brute-force oracle", [
+        (None, None, [("--max-n", {"type": int, "default": 6, "dest": "max_n"})], _cmd_verify),
+    ]),
+}
 
 
-def _fill_verify(verify: argparse.ArgumentParser, common: argparse.ArgumentParser) -> None:
-    verify.add_argument("--max-n", type=int, default=6, dest="max_n")
-    verify.set_defaults(handler=_cmd_verify)
-
-
-# (name, help, whether the command itself takes --format, fill function)
-_COMMANDS = (
-    ("perm", "compose, invert or decompose permutations", False, _fill_perm),
-    ("partitions", "integer partition counting and listing", False, _fill_partitions),
-    ("classes", "conjugacy classes of S_n with their exact orders", True, _fill_classes),
-    ("caput", "fixed-head variation counts and listings", False, _fill_caput),
-    ("problems", "the numbered classical problems", False, _fill_problems),
-    ("genealogy", "consanguinity-tree counts and coordinates", False, _fill_genealogy),
-    ("verify", "run every closed form against the brute-force oracle", True, _fill_verify),
-)
-
-
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; given argv, only the command argv[0] names is filled in.
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The CLI's parser, with only the command argv[0] names filled in.
 
     Every command's parser is made, so the top-level help and the error for
-    an unknown command list them all; only the one parsed needs its
-    sub-commands and arguments.  Without argv every command is filled in.
+    an unknown command list them all; only the one parsed needs its leaves.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=_default_format(),
-        help=f"output format (default from ${FORMAT_ENV_VAR}, else human)",
-    )
-
+    format_keywords = {
+        "choices": FORMATS,
+        "default": _default_format(),
+        "help": f"output format (default from ${FORMAT_ENV_VAR}, else human)",
+    }
     parser = argparse.ArgumentParser(
         prog="combinatoria",
         description="Exact permutation, partition, head-variation and "
         "consanguinity-tree combinatorics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc, takes_format, fill in _COMMANDS:
-        command = sub.add_parser(name, parents=[common] if takes_format else [], help=doc)
-        if argv is None or name in argv[:1]:
-            fill(command, common)
+    for name, (doc, leaves) in _COMMANDS.items():
+        command = sub.add_parser(name, help=doc)
+        if name not in argv[:1]:
+            continue
+        if leaves[0][0] is not None:
+            ops = command.add_subparsers(dest=f"{name}_op", required=True)
+        for leaf, leaf_doc, arguments, handler in leaves:
+            if leaf is None:
+                target = command
+            else:
+                target = ops.add_parser(leaf, **({"help": leaf_doc} if leaf_doc else {}))
+            target.add_argument("--format", **format_keywords)
+            for flag, keywords in arguments:
+                target.add_argument(flag, **keywords)
+            target.set_defaults(handler=handler)
     return parser
 
 

@@ -48,6 +48,8 @@ class Ceiling(NamedTuple):
 CEILINGS = MappingProxyType({
     # an image of 100,000 points, named by cycle text as short as "(1 100000)"
     "cycle degree": Ceiling(100_000, "the degree of a permutation from cycles", "parse_one_line"),
+    # an image or cycle-count vector of 100,000 entries
+    "permutation degree": Ceiling(100_000, "the degree of a permutation", "a smaller degree"),
     # p(120) = 1,844,349,560 partitions
     "partition listing": Ceiling(120, "the n of a partition listing", "count_partitions"),
     # a table of 100,001 exact integers: p(100000) took 10.5 CPU s and 29 MB RSS

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from ._value import Value
 from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
-from .perm import CycleType, _trusted_cycle_type
+from .perm import CycleType, _alpha, _trusted_cycle_type
 
 __all__ = [
     "Partition",
@@ -213,19 +213,12 @@ def class_order(t: CycleType) -> ClassOrder:
     return _trusted_class_order(n, t, math.factorial(n) // denominator)
 
 
-def _alpha(n: int, parts: tuple[int, ...]) -> tuple[int, ...]:
-    """The cycle-count vector of a partition of n into the given parts."""
-    alpha = [0] * n
-    for length in parts:
-        alpha[length - 1] += 1
-    return tuple(alpha)
-
-
 def partition_to_cycle_type(p: Partition) -> CycleType:
     """Read the parts as cycle lengths of a permutation of degree sum(parts)."""
     n = p.total
     if n < 1:
         raise InvariantViolationError("the empty partition names no cycle type")
+    refuse_past("permutation degree", n)
     # checked positive parts summing to n: each length lies in 1..n
     return _trusted_cycle_type(n, _alpha(n, p.parts))
 

@@ -87,16 +87,6 @@ class Permutation(Value):
             )
         _set_image(self, image)
 
-    # written out: the field-tuple versions of Value are slower, and
-    # Permutations are compared and hashed in bulk
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.image == other.image
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.image,))
-
     @property
     def degree(self) -> int:
         return len(self.image)
@@ -192,14 +182,14 @@ class CycleType(Value):
 
     @classmethod
     def from_cycle_lengths(cls, degree: int, lengths: Iterable[int]) -> "CycleType":
-        alpha = [0] * degree
+        refuse_past("permutation degree", degree)
+        lengths = tuple(lengths)
         for length in lengths:
             if not 1 <= length <= degree:
                 raise InvariantViolationError(
                     f"cycle length {shown(length)} outside 1..{degree}"
                 )
-            alpha[length - 1] += 1
-        return cls(degree, tuple(alpha))
+        return cls(degree, _alpha(degree, lengths))
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """Cycle lengths in non-increasing order (a partition of the degree)."""
@@ -233,6 +223,14 @@ def _trusted_cycle_type(degree: int, alpha: tuple[int, ...]) -> CycleType:
     return t
 
 
+def _alpha(n: int, lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle-count vector of cycle lengths, each already known to lie in 1..n."""
+    alpha = [0] * n
+    for length in lengths:
+        alpha[length - 1] += 1
+    return tuple(alpha)
+
+
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
@@ -253,6 +251,7 @@ def identity(n: int) -> Permutation:
     """
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    refuse_past("permutation degree", n)
     return _trusted(tuple(range(1, n + 1)))
 
 

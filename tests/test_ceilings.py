@@ -25,6 +25,7 @@ FACTORIAL = CEILINGS["factorial count"].limit
 DERANGEMENT = CEILINGS["derangement count"].limit
 POWER_OF_TWO = CEILINGS["power-of-two count"].limit
 BINOMIAL = CEILINGS["binomial count"].limit
+DEGREE = CEILINGS["permutation degree"].limit
 
 # (guard, ceiling, the name of what still works past it)
 GUARDS = {
@@ -73,6 +74,16 @@ GUARDS = {
     "from_cycles": (lambda n: perm.from_cycles([(1, n)]), perm.DEGREE_CEILING, "parse_one_line"),
     "from_cycles degree": (
         lambda n: perm.from_cycles([(1, 2)], degree=n), perm.DEGREE_CEILING, "parse_one_line"
+    ),
+    # each would allocate by the degree before any other check
+    "identity": (perm.identity, DEGREE, "a smaller degree"),
+    "from_cycle_lengths": (
+        lambda n: perm.CycleType.from_cycle_lengths(n, []), DEGREE, "a smaller degree"
+    ),
+    "partition_to_cycle_type": (
+        lambda n: partitions.partition_to_cycle_type(partitions.Partition((n,))),
+        DEGREE,
+        "a smaller degree",
     ),
     # the counts: each guard is called with the argument of its factorial,
     # derangement number, power of two or binomial

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import decimal
@@ -693,6 +694,17 @@ usage: combinatoria caput count [-h] [--format {human,json,csv}] --n N
 combinatoria caput count: error: the following arguments are required: --n
 """),
 }
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(cli_mod._COMMANDS))
+    def test_only_the_named_command_gets_its_leaves(self, name):
+        parser = cli_mod.build_parser([name])
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(cli_mod._COMMANDS)
+        for other, command in commands.choices.items():
+            filled = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+            assert bool(filled) == (other == name), other
 
 
 class TestSurface:

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from combinatoria.cli import main
+from combinatoria.cli import _COMMANDS, main
 
 FORMATS = ("human", "json", "csv")
 
@@ -169,10 +169,21 @@ def fixed_terminal(monkeypatch):
     monkeypatch.delenv("COMBINATORIA_FORMAT", raising=False)
 
 
+def table_leaves() -> list[list[str]]:
+    """The argv that names each leaf of the parser's table."""
+    return [
+        [command] + ([] if leaf is None else [leaf])
+        for command, (_, rows) in _COMMANDS.items()
+        for leaf, *_ in rows
+    ]
+
+
 def test_the_corpus_covers_every_leaf_in_every_format():
     groups = corpus()
     leaves = set(groups) - {"usage", "help", "classes wide"}
-    assert len(leaves) == 15
+    assert leaves == {" ".join(argv) for argv in table_leaves()}
+    helped = {(), *((command,) for command in _COMMANDS), *map(tuple, table_leaves())}
+    assert sorted(tuple(argv[:-1]) for argv in groups["help"]) == sorted(helped)
     assert {argv[-1] for argv in groups["classes wide"]} == set(FORMATS)
     for leaf in leaves:
         assert {argv[-1] for argv in groups[leaf]} == set(FORMATS)
