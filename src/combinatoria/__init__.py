@@ -28,7 +28,6 @@ from .errors import (
     InvariantViolationError,
 )
 from .genealogy import (
-    GradusModel,
     TreeCoordinate,
     coordinates,
     discerptiones_two,
@@ -88,7 +87,6 @@ __all__ = [
     "CycleType",
     "DegreeMismatchError",
     "EnumerationTooLargeError",
-    "GradusModel",
     "GroundSetMismatchError",
     "HeadMode",
     "InvalidDegreeError",

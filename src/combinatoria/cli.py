@@ -243,10 +243,9 @@ def _cmd_problems_reduce(args) -> _Answer:
 
 
 def _cmd_genealogy_personae(args) -> _Answer:
-    model = genealogy_mod.GradusModel(args.gradus)
     count = genealogy_mod.personae_count(args.gradus)
     header = ["gradus", "cognationes", "count"]
-    return _one_row(args, header, [model.gradus, model.cognationes, count])
+    return _one_row(args, header, [args.gradus, args.gradus + 1, count])
 
 
 def _cmd_genealogy_coords(args) -> _Answer:

@@ -9,6 +9,9 @@ used here is a reconstruction, version-tagged "reconstructed-v1" in every
 output: antecedens enumerates the 2^n ancestral paths (0 .. 2^n - 1),
 sequens the n + 1 kinship ranks (0 .. n).  That realizes exactly 2^n * (n+1)
 distinct ordered pairs.
+
+The count and the listing each compute the rank count n + 1 themselves, so
+the oracle, which compares the two, sees a wrong rank count on either route.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from .partitions import two_part_count
 
 __all__ = [
     "TreeCoordinate",
-    "GradusModel",
     "personae_count",
     "discerptiones_two",
     "coordinates",
@@ -54,27 +56,16 @@ _set_antecedens = TreeCoordinate.antecedens.__set__
 _set_sequens = TreeCoordinate.sequens.__set__
 
 
-class GradusModel(Value):
-    """A degree of the tree and its derived rank count N = gradus + 1."""
-
-    __slots__ = ("gradus",)
-    gradus: int
-
-    def __init__(self, gradus: int) -> None:
-        if gradus < 0:
-            raise InvariantViolationError("gradus starts at 0, the subject person")
-        self._fill(gradus)
-
-    @property
-    def cognationes(self) -> int:
-        return self.gradus + 1
+def _check_gradus(gradus: int, request: str) -> None:
+    if gradus < 0:
+        raise InvariantViolationError("gradus starts at 0, the subject person")
+    refuse_past(request, gradus)
 
 
 def personae_count(gradus: int) -> int:
     """Persons at the given degree: 2^n * (n + 1), exactly."""
-    model = GradusModel(gradus)
-    refuse_past("power-of-two count", model.gradus)
-    return 2**model.gradus * model.cognationes
+    _check_gradus(gradus, "power-of-two count")
+    return 2**gradus * (gradus + 1)
 
 
 def discerptiones_two(n: int) -> int:
@@ -92,7 +83,6 @@ def coordinates(gradus: int) -> list[TreeCoordinate]:
     Ordered pairs come out in lexicographic order, so (a, b) precedes (b, a)
     whenever a < b and both occur.  The list length is personae_count(gradus).
     """
-    model = GradusModel(gradus)
-    refuse_past("coordinate listing", model.gradus)
-    pairs = itertools.product(range(2**model.gradus), range(model.cognationes))
+    _check_gradus(gradus, "coordinate listing")
+    pairs = itertools.product(range(2**gradus), range(gradus + 1))
     return list(itertools.starmap(TreeCoordinate, pairs))

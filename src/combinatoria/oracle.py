@@ -15,7 +15,8 @@ counts are read cycle types (each length the popcount of its mask), fixed
 points (the single-bit masks), invariant sets (so every head subset is
 checked at every degree) and derangements.  The genealogy check streams each
 gradus once: its count is the length of the list, whose lexicographic order
-is checked in one pass.
+is checked in one pass, and whose last pair must be the end of the layout
+as the check computes it, (2^n - 1, n).
 
 Each check yields its counterexamples; ``verify_all`` reports the first one
 of each, or a pass.
@@ -207,6 +208,9 @@ def _check_class_orders(top: int) -> Iterator[str]:
         types = partitions.cycle_types_of(n)
         if len(types) != len(census):
             yield f"n={n}: {len(types)} cycle types claimed, census saw {len(census)}"
+        distinct = len({t.alpha for t in types})
+        if distinct != len(types):
+            yield f"n={n}: {len(types)} cycle types claimed, {distinct} distinct"
         for t in types:
             formula = partitions.class_order(t).order
             counted = census.get(t.cycle_lengths(), 0)
@@ -296,7 +300,9 @@ _pair = operator.attrgetter("antecedens", "sequens")
 
 def _check_genealogy(top: int) -> Iterator[str]:
     # One streamed pass per gradus: the list is freed before the next one is
-    # built, and strictly increasing pairs are distinct without a set.
+    # built, and strictly increasing pairs are distinct without a set.  The
+    # layout's last pair, (2^n - 1, n), is this check's own arithmetic, so a
+    # rank count wrong on both routes fails here; one comparison per gradus.
     for n in range(0, top + 1):
         closed = genealogy.personae_count(n)
         coords = genealogy.coordinates(n)
@@ -307,6 +313,9 @@ def _check_genealogy(top: int) -> Iterator[str]:
                 yield f"gradus={n}: {pair} listed after {previous}"
             previous = pair
         del coords
+        last = ((1 << n) - 1, n)
+        if previous != last:
+            yield f"gradus={n}: last pair {previous}, the layout ends at {last}"
         if listed != closed:
             yield f"gradus={n}: count {closed}, listed {listed}, distinct {listed}"
 

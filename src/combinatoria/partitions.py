@@ -8,7 +8,6 @@ quotient n! / (1^a1 a1! 2^a2 a2! ... n^an an!), evaluated exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
@@ -118,34 +117,31 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return [Partition(parts) for parts in _descending_parts(n)]
 
 
-# Euler's pentagonal recurrence, memoized bottom-up.  The table only grows,
-# and the lock keeps concurrent fills consistent.
-_pn_table: list[int] = [1]
-_pn_lock = threading.Lock()
-
-
 def count_partitions(n: int) -> int:
-    """Exact p(n): p(0) = 1, p(6) = 11, p(100) = 190569292."""
+    """Exact p(n): p(0) = 1, p(6) = 11, p(100) = 190569292.
+
+    Euler's pentagonal recurrence, filled bottom-up in a table local to the
+    call, so nothing outlives it.
+    """
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
     refuse_past("partition count", n)
-    with _pn_lock:
-        while len(_pn_table) <= n:
-            m = len(_pn_table)
-            acc = 0
-            k = 1
-            while True:
-                g1 = m - k * (3 * k - 1) // 2  # pentagonal number k(3k-1)/2
-                if g1 < 0:
-                    break
-                term = _pn_table[g1]
-                g2 = g1 - k  # second pentagonal number k(3k+1)/2
-                if g2 >= 0:
-                    term += _pn_table[g2]
-                acc += term if k % 2 else -term
-                k += 1
-            _pn_table.append(acc)
-        return _pn_table[n]
+    table = [1]
+    for m in range(1, n + 1):
+        acc = 0
+        k = 1
+        while True:
+            g1 = m - k * (3 * k - 1) // 2  # pentagonal number k(3k-1)/2
+            if g1 < 0:
+                break
+            term = table[g1]
+            g2 = g1 - k  # second pentagonal number k(3k+1)/2
+            if g2 >= 0:
+                term += table[g2]
+            acc += term if k % 2 else -term
+            k += 1
+        table.append(acc)
+    return table[n]
 
 
 def two_part_count(n: int) -> int:

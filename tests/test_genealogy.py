@@ -4,13 +4,14 @@ from combinatoria.errors import EnumerationTooLargeError, InvariantViolationErro
 from combinatoria.genealogy import (
     COORDINATE_CEILING,
     LAYOUT_VERSION,
-    GradusModel,
     TreeCoordinate,
     coordinates,
     discerptiones_two,
     personae_count,
 )
 from combinatoria.partitions import two_part_count
+
+NEGATIVE_GRADUS = "^gradus starts at 0, the subject person$"
 
 
 class TestPersonaeCount:
@@ -19,19 +20,25 @@ class TestPersonaeCount:
         assert personae_count(gradus) == expected
 
     def test_negative_gradus_rejected(self):
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(InvariantViolationError, match=NEGATIVE_GRADUS):
             personae_count(-1)
 
-
-class TestGradusModel:
     def test_ranks_are_one_more_than_the_degree(self):
         for gradus in range(20):
-            assert GradusModel(gradus).cognationes == gradus + 1
+            assert personae_count(gradus) == 2**gradus * (gradus + 1)
 
 
 class TestCoordinates:
     def test_subject_alone_at_the_root(self):
         assert coordinates(0) == [TreeCoordinate(0, 0)]
+
+    def test_last_pair_is_the_last_path_at_the_last_rank(self):
+        for gradus in range(13):
+            assert coordinates(gradus)[-1] == TreeCoordinate(2**gradus - 1, gradus)
+
+    def test_negative_gradus_rejected(self):
+        with pytest.raises(InvariantViolationError, match=NEGATIVE_GRADUS):
+            coordinates(-1)
 
     def test_length_matches_person_count(self):
         for gradus in range(13):

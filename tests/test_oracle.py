@@ -255,10 +255,23 @@ def _swap_adjacent(items: list, i: int) -> list:
     return items[:i] + [items[i + 1], items[i]] + items[i + 2:]
 
 
-# One corrupted function per suite that the class-order and head-count cases
-# below leave out: (module, name, corruption of the true function, max_n,
-# {failed claim: counterexample}).
+def _layout(paths: int, ranks: range) -> list:
+    pairs = itertools.product(range(paths), ranks)
+    return list(itertools.starmap(genealogy_mod.TreeCoordinate, pairs))
+
+
+# At least one corrupted function per suite: (module, name, corruption of the
+# true function, max_n, {failed claim: counterexample}).
 MUTATIONS = {
+    "cycle_types_of": (
+        partitions_mod, "cycle_types_of",
+        # the identity class dropped, the n-cycle class listed twice
+        lambda f: lambda n: f(n)[:-1] + f(n)[:1] if n >= 4 else f(n), 4,
+        {
+            "class-order formula vs cycle-type census":
+                "n=4: 5 cycle types claimed, 4 distinct",
+        },
+    ),
     "count_partitions": (
         partitions_mod, "count_partitions", lambda f: lambda n: f(n) + (n == 5), 2,
         {"partition recurrence vs exhaustive walk": "N=5: recurrence 8, walk 7"},
@@ -289,6 +302,27 @@ MUTATIONS = {
         {
             "person count vs coordinate materialization":
                 "gradus=2: count 13, listed 12, distinct 12",
+        },
+    ),
+    "coordinates ranks g + 2": (
+        genealogy_mod, "coordinates", lambda f: lambda g: _layout(2**g, range(g + 2)), 1,
+        {
+            "person count vs coordinate materialization":
+                "gradus=0: last pair (0, 1), the layout ends at (0, 0)",
+        },
+    ),
+    "coordinates shifted up one rank": (
+        genealogy_mod, "coordinates", lambda f: lambda g: _layout(2**g, range(1, g + 2)), 1,
+        {
+            "person count vs coordinate materialization":
+                "gradus=0: last pair (0, 1), the layout ends at (0, 0)",
+        },
+    ),
+    "personae_count ranks g + 2": (
+        genealogy_mod, "personae_count", lambda f: lambda g: 2**g * (g + 2), 1,
+        {
+            "person count vs coordinate materialization":
+                "gradus=0: count 2, listed 1, distinct 1",
         },
     ),
     "vicinity_variations": (
@@ -355,3 +389,7 @@ class TestMutationDetection:
         reports = verify_all(max_n)
         failed = {r.claim: r.counterexample for r in reports if not r.passed}
         assert failed == expected
+
+    def test_every_claim_has_a_corruption_that_fails_it(self):
+        failed = {claim for *_, expected in MUTATIONS.values() for claim in expected}
+        assert failed == {claim for claim, *_ in oracle_mod._SUITES}

@@ -1,12 +1,12 @@
 import math
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from combinatoria.errors import EnumerationTooLargeError, InvariantViolationError
-import combinatoria.partitions as partitions_mod
 from combinatoria.partitions import (
     COUNTING_CEILING,
     ClassOrder,
@@ -113,13 +113,16 @@ class TestCount:
             count_partitions(-1)
 
     def test_counting_ceiling_refuses_before_the_table_grows(self):
-        size = len(partitions_mod._pn_table)
-        assert size <= COUNTING_CEILING
-        with pytest.raises(EnumerationTooLargeError, match=str(COUNTING_CEILING)):
-            count_partitions(COUNTING_CEILING + 1)
-        with pytest.raises(EnumerationTooLargeError):
-            count_partitions(10**40)
-        assert len(partitions_mod._pn_table) == size
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError, match=str(COUNTING_CEILING)):
+                count_partitions(COUNTING_CEILING + 1)
+            with pytest.raises(EnumerationTooLargeError):
+                count_partitions(10**40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_concurrent_fills_agree(self):
         results = []

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import combinatoria
 from combinatoria.caput import CaputSpec, HeadMode, enumerate_caput
 from combinatoria.errors import InvariantViolationError
-from combinatoria.genealogy import GradusModel, TreeCoordinate, coordinates
+from combinatoria.genealogy import TreeCoordinate, coordinates
 from combinatoria.oracle import OracleReport
 from combinatoria.partitions import (
     ClassOrder,
@@ -242,7 +242,6 @@ VALUE_CLASSES = {
         {"antecedens": REQUIRED, "sequens": REQUIRED},
         st.tuples(st.integers(0, 2**20), st.integers(0, 20)),
     ),
-    GradusModel: ({"gradus": REQUIRED}, st.tuples(st.integers(0, 10**6))),
     ProblemResult: (
         {
             "problem_id": REQUIRED, "inputs": REQUIRED, "count": REQUIRED,
