@@ -7,6 +7,9 @@ the factorial quotient formula, variation counting under a fixed head
 (loose, exact or setwise), circle-of-neighbours counting, and the
 consanguinity-tree coordinate model.  All arithmetic is exact; every closed
 form has an enumeration oracle in `combinatoria.oracle`.
+
+`ClassOrder` is resolved on first use, so that importing the package does
+not load `dataclasses`; see `combinatoria._class_order`.
 """
 
 from .caput import (
@@ -35,7 +38,6 @@ from .genealogy import (
 )
 from .oracle import OracleReport, verify_all
 from .partitions import (
-    ClassOrder,
     Partition,
     class_order,
     count_partitions,
@@ -77,6 +79,15 @@ from .problems import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "ClassOrder":
+        from ._class_order import ClassOrder
+
+        return ClassOrder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CaputReduction",

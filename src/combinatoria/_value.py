@@ -8,8 +8,11 @@ assignment and deletion, and pickling and copying.  The fields are the
 subclass's ``__slots__``, in order; its ``__init__`` checks its arguments
 and sets the slots through their descriptors, which the frozen
 ``__setattr__`` does not stand in front of.
+
+``FrozenInstanceError`` is imported where it is raised, so that no value
+class loads ``dataclasses`` (and with it ``inspect``) before an assignment
+fails.
 """
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 
@@ -42,9 +45,13 @@ class Value:
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> tuple:

@@ -150,7 +150,8 @@ def _cmd_partitions_list(args) -> _Answer:
 def _cmd_classes(args) -> _Answer:
     classes = []
     for t in partitions_mod.cycle_types_of(args.n):
-        partition = str(partitions_mod.cycle_type_to_partition(t))
+        # the cycle lengths are the partition's parts, already in order
+        partition = ",".join(map(str, t.cycle_lengths()))
         classes.append((str(t), partition, partitions_mod.class_order(t).order))
     if args.format != "json":
         return ["cycle_type", "partition", "order"], classes

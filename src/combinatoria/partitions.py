@@ -4,17 +4,25 @@ A partition of N ("discerptio") is a non-increasing sequence of positive
 integers summing to N.  Partitions of n index the conjugacy classes of S_n:
 the parts are the cycle lengths.  Class sizes come from the classical
 quotient n! / (1^a1 a1! 2^a2 a2! ... n^an an!), evaluated exactly.
+
+``ClassOrder``, the value ``class_order`` returns, is defined in
+``combinatoria._class_order`` with ``dataclasses``, which that module alone
+imports.  ``partitions.ClassOrder`` resolves to it on first use (a module
+``__getattr__``), so importing this module loads no ``dataclasses``, and
+pickles that name ``combinatoria.partitions.ClassOrder`` still load.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._value import Value
 from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
 from .perm import CycleType, _alpha, _trusted_cycle_type
+
+if TYPE_CHECKING:
+    from ._class_order import ClassOrder
 
 __all__ = [
     "Partition",
@@ -44,7 +52,8 @@ class Partition(Value):
     __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __init__(self, parts: tuple[int, ...]) -> None:
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
         prev = None
         for x in parts:
             if x < 1 or (prev is not None and x > prev):
@@ -154,38 +163,28 @@ def two_part_count(n: int) -> int:
     return n // 2
 
 
-@dataclass(frozen=True)
-class ClassOrder:
-    """The exact size of one conjugacy class of S_n.
+def __getattr__(name: str):
+    if name == "ClassOrder":
+        from ._class_order import ClassOrder
 
-    The package's one dataclass: ``dataclasses.replace`` and the like work
-    on it, and on none of the slotted value classes.
+        return ClassOrder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _first_class_order(degree: int, cycle_type: CycleType, order: int) -> ClassOrder:
+    """Bind the trusted builder in place of this function, then build through it.
+
+    ``class_order`` calls whatever ``_new_class_order`` names, so it runs an
+    import statement on its first call only: one costs about 1.5 us on
+    CPython 3.11, nearly as much as a whole call for a class of S_6.
     """
+    global _new_class_order
+    from ._class_order import _trusted_class_order as _new_class_order
 
-    degree: int
-    cycle_type: CycleType
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise InvariantViolationError("a conjugacy class has at least one element")
+    return _new_class_order(degree, cycle_type, order)
 
 
-_new_object = object.__new__
-_set_field = object.__setattr__
-
-
-def _trusted_class_order(degree: int, cycle_type: CycleType, order: int) -> ClassOrder:
-    """A ClassOrder whose order is already known to be at least 1.
-
-    Sets the three fields as the frozen dataclass's own ``__init__`` does,
-    without its keyword handling and ``__post_init__`` check.
-    """
-    c = _new_object(ClassOrder)
-    _set_field(c, "degree", degree)
-    _set_field(c, "cycle_type", cycle_type)
-    _set_field(c, "order", order)
-    return c
+_new_class_order = _first_class_order
 
 
 def class_order(t: CycleType) -> ClassOrder:
@@ -206,7 +205,7 @@ def class_order(t: CycleType) -> ClassOrder:
     for i in compress(range(1, n + 1), alpha):
         a = alpha[i - 1]
         denominator *= i**a * math.factorial(a)
-    return _trusted_class_order(n, t, math.factorial(n) // denominator)
+    return _new_class_order(n, t, math.factorial(n) // denominator)
 
 
 def partition_to_cycle_type(p: Partition) -> CycleType:

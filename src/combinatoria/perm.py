@@ -77,7 +77,9 @@ class Permutation(Value):
     __slots__ = ("image",)
     image: tuple[int, ...]
 
-    def __init__(self, image: tuple[int, ...]) -> None:
+    def __init__(self, image: Iterable[int]) -> None:
+        # a tuple the caller cannot change past the checks; tuple(t) is t
+        image = tuple(image)
         n = len(image)
         if n == 0:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
@@ -165,7 +167,8 @@ class CycleType(Value):
     degree: int
     alpha: tuple[int, ...]
 
-    def __init__(self, degree: int, alpha: tuple[int, ...]) -> None:
+    def __init__(self, degree: int, alpha: Iterable[int]) -> None:
+        alpha = tuple(alpha)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
         if len(alpha) != degree or min(alpha) < 0:
@@ -234,12 +237,26 @@ def _alpha(n: int, lengths: tuple[int, ...]) -> tuple[int, ...]:
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
+class _Labels(dict):
+    """Cycle length i -> its label ``αᵢ=``, made the first time it is asked for.
+
+    Holds at most one entry per length ever formatted, and lengths are
+    bounded by the degree ceilings.
+    """
+
+    def __missing__(self, i: int) -> str:
+        label = self[i] = f"α{str(i).translate(_SUBSCRIPTS)}="
+        return label
+
+
+_LABELS = _Labels()
+
+
 def format_alpha(t: CycleType) -> str:
     """Sparse rendering of a cycle type, e.g. ``α₁=3 α₃=1``."""
     alpha = t.alpha
     return " ".join([
-        f"α{str(i).translate(_SUBSCRIPTS)}={alpha[i - 1]}"
-        for i in compress(range(1, len(alpha) + 1), alpha)
+        f"{_LABELS[i]}{alpha[i - 1]}" for i in compress(range(1, len(alpha) + 1), alpha)
     ])
 
 

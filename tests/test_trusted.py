@@ -157,7 +157,7 @@ TRUSTED_BUILDERS = {
             _listed_types(), map(partition_to_cycle_type, enumerate_partitions(12))
         )
     ),
-    "partitions._trusted_class_order": lambda: (
+    "_class_order._trusted_class_order": lambda: (
         (c, ClassOrder(degree=c.degree, cycle_type=c.cycle_type, order=c.order))
         for c in map(class_order, _listed_types())
     ),
@@ -286,6 +286,27 @@ def _values(x) -> tuple:
 _instances = st.sampled_from(list(VALUE_CLASSES)).flatmap(
     lambda cls: VALUE_CLASSES[cls][1].map(lambda args: cls(*args))
 )
+
+
+# a valid sequence field of each class whose constructor takes one:
+# (class, the arguments before it, the sequence)
+SEQUENCE_FIELDS = [
+    (Permutation, (), (2, 3, 1)),
+    (Cycle, (), (3, 1, 2)),
+    (CycleType, (3,), (1, 1, 0)),
+    (Partition, (), (3, 1)),
+]
+
+
+@pytest.mark.parametrize("cls, before, items", SEQUENCE_FIELDS)
+def test_a_list_or_generator_builds_the_tuple_built_value(cls, before, items):
+    twin = cls(*before, items)
+    source = list(items)
+    built = [cls(*before, source), cls(*before, (x for x in items))]
+    source.append(source[0])
+    source[0] = 0
+    for x in built:
+        assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
 
 
 class TestValueClasses:
