@@ -13,10 +13,11 @@ partition of the points into cycles, keyed by orbit masks (the bitmask of
 each cycle's points), and a second collects the rotation classes.  Off the
 counts are read cycle types (each length the popcount of its mask), fixed
 points (the single-bit masks), invariant sets (so every head subset is
-checked at every degree) and derangements.  The genealogy check streams each
-gradus once: its count is the length of the list, whose lexicographic order
-is checked in one pass, and whose last pair must be the end of the layout
-as the check computes it, (2^n - 1, n).
+checked at every degree) and derangements.  Each listing is compared, in
+the order its docstring promises, with the oracle's own: the cycle types
+with the census's, the vicinity representatives with the rotation classes,
+and each gradus's coordinates, pair by pair in one pass, with every path
+0 .. 2^n - 1 taken with every rank 0 .. n; their count is the list's length.
 
 Each check yields its counterexamples; ``verify_all`` reports the first one
 of each, or a pass.
@@ -27,7 +28,7 @@ import itertools
 import operator
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import caput, genealogy, partitions, problems
 from ._value import Value
@@ -202,15 +203,23 @@ def rotation_class_census(n: int) -> frozenset[tuple[int, ...]]:
 # -- the registered comparisons ------------------------------------------------
 # Each check walks its range up to top and yields counterexample texts.
 
+def _first_difference(where: str, listed: Iterable, expected: Iterable) -> Iterator[str]:
+    # where a listing first departs from the oracle's own; a listing that ends
+    # early or runs on shows None opposite the first gap
+    for i, (got, want) in enumerate(itertools.zip_longest(listed, expected)):
+        if got != want:
+            yield f"{where}: item {i} listed {got}, expected {want}"
+            return
+
+
 def _check_class_orders(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         census = cycle_type_census(n)
         types = partitions.cycle_types_of(n)
-        if len(types) != len(census):
-            yield f"n={n}: {len(types)} cycle types claimed, census saw {len(census)}"
-        distinct = len({t.alpha for t in types})
-        if distinct != len(types):
-            yield f"n={n}: {len(types)} cycle types claimed, {distinct} distinct"
+        # ZS1's order is reverse lexicographic on the descending cycle lengths
+        yield from _first_difference(
+            f"n={n}", [t.cycle_lengths() for t in types], sorted(census, reverse=True)
+        )
         for t in types:
             formula = partitions.class_order(t).order
             counted = census.get(t.cycle_lengths(), 0)
@@ -244,14 +253,8 @@ def _check_vicinity_triangle(top: int) -> Iterator[str]:
 
 def _check_vicinity_classes(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
-        rep_images = [p.image for p in problems.vicinity_classes(n)]
-        if len(set(rep_images)) != len(rep_images):
-            yield f"n={n}: duplicate representatives"
-        bad = [img for img in rep_images if img[0] != 1]
-        if bad:
-            yield f"n={n}: non-canonical representative {bad[0]}"
-        if set(rep_images) != rotation_class_census(n):
-            yield f"n={n}: representative set differs from the census"
+        representatives = [p.image for p in problems.vicinity_classes(n)]
+        yield from _first_difference(f"n={n}", representatives, sorted(rotation_class_census(n)))
 
 
 def _check_complexions(top: int) -> Iterator[str]:
@@ -299,23 +302,19 @@ _pair = operator.attrgetter("antecedens", "sequens")
 
 
 def _check_genealogy(top: int) -> Iterator[str]:
-    # One streamed pass per gradus: the list is freed before the next one is
-    # built, and strictly increasing pairs are distinct without a set.  The
-    # layout's last pair, (2^n - 1, n), is this check's own arithmetic, so a
-    # rank count wrong on both routes fails here; one comparison per gradus.
+    # one C-level pass per gradus builds no pair list; del frees each list first
     for n in range(0, top + 1):
         closed = genealogy.personae_count(n)
         coords = genealogy.coordinates(n)
         listed = len(coords)
-        previous = ()  # sorts before every pair
-        for pair in map(_pair, coords):
-            if pair <= previous:
-                yield f"gradus={n}: {pair} listed after {previous}"
-            previous = pair
+        paths, ranks = range(1 << n), range(n + 1)
+        if listed != len(paths) * len(ranks) or not all(
+            map(operator.eq, map(_pair, coords), itertools.product(paths, ranks))
+        ):
+            yield from _first_difference(
+                f"gradus={n}", map(_pair, coords), itertools.product(paths, ranks)
+            )
         del coords
-        last = ((1 << n) - 1, n)
-        if previous != last:
-            yield f"gradus={n}: last pair {previous}, the layout ends at {last}"
         if listed != closed:
             yield f"gradus={n}: count {closed}, listed {listed}, distinct {listed}"
 

@@ -395,11 +395,12 @@ def parse_one_line(text: str) -> Permutation:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvariantViolationError(f"one-line form must look like [1,2,3]: {text!r}")
-    items = [s.strip() for s in body[1:-1].split(",") if s.strip()]
+    # int() strips less than str.strip (not U+001C..U+001F), so strip here
+    items = [s for s in map(str.strip, body[1:-1].split(",")) if s]
     if not items:
         raise InvalidDegreeError("empty one-line form has no degree")
     try:
-        image = tuple(int(s) for s in items)
+        image = tuple(map(int, items))
     except ValueError:
         raise InvariantViolationError(f"non-integer point in {text!r}") from None
     return Permutation(image)

@@ -111,10 +111,12 @@ def canonical_vicinity(arrangement: Permutation | Sequence[int]) -> Permutation:
     Two arrangements are vicinity-equivalent iff they canonicalize equally:
     abcd, bcda, cdab and dabc all land on abcd.
     """
-    image = arrangement.image if isinstance(arrangement, Permutation) else tuple(arrangement)
-    p = Permutation(image)  # validates the arrangement
-    k = p.image.index(1)
-    return _trusted(p.image[k:] + p.image[:k])
+    # a Permutation was validated when it was built; only a raw sequence needs it
+    if not isinstance(arrangement, Permutation):
+        arrangement = Permutation(arrangement)
+    image = arrangement.image
+    k = image.index(1)
+    return _trusted(image[k:] + image[:k])
 
 
 def vicinity_classes(n: int) -> list[Permutation]:

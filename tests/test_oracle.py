@@ -255,6 +255,14 @@ def _swap_adjacent(items: list, i: int) -> list:
     return items[:i] + [items[i + 1], items[i]] + items[i + 2:]
 
 
+def _lift_top_of_path_zero(c, gradus: int):
+    # path 0's top rank moved one rank up: the listing stays strictly
+    # increasing and keeps its length and its last pair
+    if gradus >= 1 and (c.antecedens, c.sequens) == (0, gradus):
+        return genealogy_mod.TreeCoordinate(0, gradus + 1)
+    return c
+
+
 def _layout(paths: int, ranks: range) -> list:
     pairs = itertools.product(range(paths), ranks)
     return list(itertools.starmap(genealogy_mod.TreeCoordinate, pairs))
@@ -269,7 +277,14 @@ MUTATIONS = {
         lambda f: lambda n: f(n)[:-1] + f(n)[:1] if n >= 4 else f(n), 4,
         {
             "class-order formula vs cycle-type census":
-                "n=4: 5 cycle types claimed, 4 distinct",
+                "n=4: item 4 listed (4,), expected (1, 1, 1, 1)",
+        },
+    ),
+    "cycle_types_of reversed": (
+        partitions_mod, "cycle_types_of", lambda f: lambda n: f(n)[::-1] if n == 4 else f(n), 4,
+        {
+            "class-order formula vs cycle-type census":
+                "n=4: item 0 listed (1, 1, 1, 1), expected (4,)",
         },
     ),
     "count_partitions": (
@@ -294,7 +309,15 @@ MUTATIONS = {
         lambda f: lambda g: _swap_adjacent(f(g), 3) if g == 3 else f(g), 2,
         {
             "person count vs coordinate materialization":
-                "gradus=3: (0, 3) listed after (1, 0)",
+                "gradus=3: item 3 listed (1, 0), expected (0, 3)",
+        },
+    ),
+    "coordinates (0, g) moved to (0, g + 1)": (
+        genealogy_mod, "coordinates",
+        lambda f: lambda g: [_lift_top_of_path_zero(c, g) for c in f(g)], 1,
+        {
+            "person count vs coordinate materialization":
+                "gradus=1: item 1 listed (0, 2), expected (0, 1)",
         },
     ),
     "personae_count": (
@@ -308,14 +331,14 @@ MUTATIONS = {
         genealogy_mod, "coordinates", lambda f: lambda g: _layout(2**g, range(g + 2)), 1,
         {
             "person count vs coordinate materialization":
-                "gradus=0: last pair (0, 1), the layout ends at (0, 0)",
+                "gradus=0: item 1 listed (0, 1), expected None",
         },
     ),
     "coordinates shifted up one rank": (
         genealogy_mod, "coordinates", lambda f: lambda g: _layout(2**g, range(1, g + 2)), 1,
         {
             "person count vs coordinate materialization":
-                "gradus=0: last pair (0, 1), the layout ends at (0, 0)",
+                "gradus=0: item 0 listed (0, 1), expected (0, 0)",
         },
     ),
     "personae_count ranks g + 2": (
@@ -341,7 +364,14 @@ MUTATIONS = {
         lambda f: lambda n: f(n)[:-1] if n == 4 else f(n), 4,
         {
             "vicinity class representatives vs rotation census":
-                "n=4: representative set differs from the census",
+                "n=4: item 5 listed None, expected (1, 4, 3, 2)",
+        },
+    ),
+    "vicinity_classes reversed": (
+        problems_mod, "vicinity_classes", lambda f: lambda n: f(n)[::-1] if n == 4 else f(n), 4,
+        {
+            "vicinity class representatives vs rotation census":
+                "n=4: item 0 listed (1, 4, 3, 2), expected (1, 2, 3, 4)",
         },
     ),
 }
@@ -393,3 +423,10 @@ class TestMutationDetection:
     def test_every_claim_has_a_corruption_that_fails_it(self):
         failed = {claim for *_, expected in MUTATIONS.values() for claim in expected}
         assert failed == {claim for claim, *_ in oracle_mod._SUITES}
+
+    def test_every_check_is_registered_once_under_its_own_claim(self):
+        checks = sorted(name for name in vars(oracle_mod) if name.startswith("_check_"))
+        registered = [check.__name__ for *_, check in oracle_mod._SUITES]
+        assert sorted(registered) == checks
+        claims = [claim for claim, *_ in oracle_mod._SUITES]
+        assert len(set(claims)) == len(claims) == 9

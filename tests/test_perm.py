@@ -237,6 +237,21 @@ class TestTextFormats:
         with pytest.raises((InvariantViolationError, InvalidDegreeError)):
             parse_permutation(bad)
 
+    @pytest.mark.parametrize(
+        "text", ["[ 2 ,\t1 ]", "[2,,1]", "[2,1,]", " [\t2, 1] ", "[\x1c2,1\x1f]"]
+    )
+    def test_one_line_items_are_stripped_and_empty_items_skipped(self, text):
+        assert parse_one_line(text).image == (2, 1)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("[2, 1.0]", "non-integer point"), ("[2, 1 3]", "non-integer point"),
+         ("[ , \t]", "no degree")],
+    )
+    def test_one_line_item_that_is_no_integer_is_refused(self, text, error):
+        with pytest.raises((InvariantViolationError, InvalidDegreeError), match=error):
+            parse_one_line(text)
+
     def test_cycle_text_past_the_degree_ceiling_is_refused(self):
         assert parse_cycles(f"(1 {DEGREE_CEILING})").degree == DEGREE_CEILING
         with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):

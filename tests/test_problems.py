@@ -6,6 +6,7 @@ import pytest
 from combinatoria.caput import CaputSpec, HeadMode, count_caput
 from combinatoria.errors import EnumerationTooLargeError, InvalidDegreeError, InvariantViolationError
 from combinatoria.partitions import Partition, class_order, partition_to_cycle_type
+from combinatoria.perm import Permutation
 from combinatoria.problems import (
     SIMPLICITER,
     canonical_vicinity,
@@ -121,6 +122,23 @@ class TestVicinityClasses:
             for arr in [(1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)]
         }
         assert canon == {(1, 2, 3, 4)}
+
+    def test_canonical_vicinity_validates_only_a_raw_sequence(self, monkeypatch):
+        arrangement, rotated = Permutation((2, 3, 1, 4)), Permutation((1, 4, 2, 3))
+        validated = []
+        true_init = Permutation.__init__
+
+        def counted(self, image):
+            validated.append(image)
+            true_init(self, image)
+
+        monkeypatch.setattr(Permutation, "__init__", counted)
+        assert canonical_vicinity(arrangement) == rotated
+        assert validated == []
+        assert canonical_vicinity([2, 3, 1, 4]) == rotated
+        assert validated == [[2, 3, 1, 4]]
+        with pytest.raises(InvariantViolationError, match="not a bijection"):
+            canonical_vicinity([2, 3, 1, 3])
 
     def test_two_things(self):
         assert len(vicinity_classes(2)) == 1
