@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from ._value import Value
 from .caput import CaputSpec, HeadMode, _factorial, count_caput
 from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past, shown
-from .perm import Permutation, _trusted
+from .perm import Permutation, _trusted, _trusted_all
 
 __all__ = [
     "ProblemResult",
@@ -127,12 +127,12 @@ def vicinity_classes(n: int) -> list[Permutation]:
     if n < 1:
         raise InvalidDegreeError("vicinity classes need n >= 1")
     refuse_past("vicinity listing", n)
-    return [_trusted(image) for image in _vicinity_images(n)]
+    return list(_trusted_all(_vicinity_images(n)))
 
 
 def _vicinity_images(n: int) -> Iterator[tuple[int, ...]]:
     """The one-line images of the vicinity class representatives, in lex order."""
-    return ((1,) + rest for rest in itertools.permutations(range(2, n + 1)))
+    return map((1,).__add__, itertools.permutations(range(2, n + 1)))
 
 
 def problem7_product(n: int, head_size: int) -> int:

@@ -220,6 +220,25 @@ class TestEnumerate:
                     got = [p.image for p in enumerate_caput(spec)]
                     assert got == list(brute_images(n, frozenset(head), mode)), (n, head)
 
+    # heads of three or more runs: the lead odometer holds two or more
+    # positions, and the tail's six positions hold both classes
+    SETWISE_RUNS = {
+        9: [{2, 4, 6, 8}, {1, 9}, {3, 4, 8}, {7}, {8}, {2, 5}],
+        8: [{1, 8}, {2, 7}, {3, 5, 6}, {4}],
+    }
+
+    @pytest.mark.parametrize("n", SETWISE_RUNS)
+    def test_setwise_heads_of_many_runs_in_lex_order(self, n):
+        heads = [frozenset(head) for head in self.SETWISE_RUNS[n]]
+        expected = {head: [] for head in heads}
+        for image in all_perms(n):
+            for head, kept in expected.items():
+                if {image[i - 1] for i in head} == head:
+                    kept.append(image)
+        for head in heads:
+            spec = CaputSpec(degree=n, head=head, mode=HeadMode.SETWISE)
+            assert [p.image for p in enumerate_caput(spec)] == expected[head], head
+
     def test_exact_stream_does_not_stall_on_rejects(self):
         # A plain fixed-point filter over S_12 in lex order would reject the
         # 11! arrangements that keep 1 in place before its first item.
@@ -233,7 +252,7 @@ class TestEnumerate:
         ]
 
     def test_setwise_stream_does_not_materialize(self):
-        # the free run after a one-point head holds 9! arrangements
+        # a one-point head leaves 9! arrangements of the free values
         spec = CaputSpec(degree=10, head=frozenset({1}), mode=HeadMode.SETWISE)
         tracemalloc.start()
         try:
@@ -243,6 +262,24 @@ class TestEnumerate:
             tracemalloc.stop()
         assert first == [tuple(range(1, 11)), (1, 2, 3, 4, 5, 6, 7, 8, 10, 9)]
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("head", [{1}, {7}, {12}, {6, 7}])
+    def test_setwise_stream_at_the_ceiling_starts_small_and_fast(self, head):
+        # it holds the table of tail patterns, one tail's images and one batch
+        spec = CaputSpec(degree=12, head=frozenset(head), mode=HeadMode.SETWISE)
+        start = time.process_time()
+        tracemalloc.start()
+        try:
+            first = [p.image for p in itertools.islice(enumerate_caput(spec), 2)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.process_time() - start < 1.0
+        assert peak < 1_000_000
+        second = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 12) if 12 in head else (
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 11
+        )
+        assert first == [tuple(range(1, 13)), second]
 
     def test_is_a_real_generator(self):
         for mode in HeadMode:

@@ -2,7 +2,8 @@
 
 compose, inverse, from_cycles (and so parse_cycles), vicinity_classes,
 canonical_vicinity and enumerate_caput build their Permutations from already
-checked data without running the constructor's checks; cycle_types_of and
+checked data without running the constructor's checks, vicinity_classes and
+enumerate_caput in batches through perm._trusted_all; cycle_types_of and
 partition_to_cycle_type build their CycleTypes, and class_order its
 ClassOrder, the same way; TreeCoordinate has a hand-written __init__.  Each
 must be indistinguishable from an object built through the public
@@ -42,6 +43,8 @@ from combinatoria.perm import (
     Cycle,
     CycleType,
     Permutation,
+    _BATCH,
+    _trusted_all,
     compose,
     format_cycles,
     identity,
@@ -147,10 +150,21 @@ def _permutation_pairs():
     return [(p, Permutation(p.image)) for p in built]
 
 
+def _batched_pairs():
+    # every batch edge: no image, one, a batch less one, a batch, a batch and
+    # one, two batches and one
+    for length in (0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1):
+        images = list(itertools.islice(itertools.permutations(range(1, 8)), length))
+        built = list(_trusted_all(iter(images)))
+        assert [p.image for p in built] == images
+        yield from ((p, Permutation(p.image)) for p in built)
+
+
 # builder: the pairs (an object it built, the same value built by the
 # validating constructor) that must be indistinguishable
 TRUSTED_BUILDERS = {
     "perm._trusted": _permutation_pairs,
+    "perm._trusted_all": _batched_pairs,
     "perm._trusted_cycle_type": lambda: (
         (t, CycleType(t.degree, t.alpha))
         for t in itertools.chain(
