@@ -18,6 +18,7 @@ circle-of-neighbours count of `problems.vicinity_variations`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -215,26 +216,29 @@ def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
 
     - LOOSE: one block, the arrangements of the free values, each placed
       among the pinned head values;
-    - EXACT: the same, but the free positions are taken one by one, each
-      skipping its own value, until the last few are left; those form a
-      block filtered for fixed points, so the stream never stalls on a run
-      of rejects;
-    - SETWISE: the positions before the last few are taken one by one, like
-      an odometer (Knuth, TAOCP 4A, 7.2.1.2), each drawing the values its
-      class (head or free) has left; the last few read every arrangement of
-      what is left off one table built per call, the sorted patterns of the
-      head values over the tail's head positions and of the free values
-      over its free positions.
+    - EXACT: the same, but the free positions before the last few draw
+      their values in turn through ``_distinct``, each skipping its own
+      value; the last few form a block filtered for fixed points, so the
+      stream never stalls on a run of rejects;
+    - SETWISE: the positions before the last few draw their values in turn
+      through ``_distinct``, each from its class (head or free); the last
+      few read every arrangement of what is left off one table built per
+      call, the sorted patterns of the head values over the tail's head
+      positions and of the free values over its free positions.
     """
     refuse_past("head enumeration", spec.degree)
     return _trusted_all(itertools.chain.from_iterable(_stream(spec.degree, spec.head, spec.mode)))
 
 
-# The last _TAIL positions form one block.  EXACT drops the arrangements of
-# its block with a fixed point; a block of k >= 2 positions keeps at least
-# one, so fewer than 2 * k! rejects come between two items.  SETWISE reads
-# its block off a table of at most _TAIL! patterns; over the benchmark's
-# SETWISE heads a tail of 6 lists faster than one of 5.
+# The last _TAIL positions form one block, and the cut = n - _TAIL or fewer
+# positions before it form the lead.  Every lead prefix extends: a SETWISE
+# class has as many values as positions, and an EXACT lead position finds at
+# least _TAIL + 1 free values left, one of them its own.  So a lead step
+# rejects at most cut values, the ones its prefix holds.  EXACT drops the
+# arrangements of its block with a fixed point; a block of k >= 2 positions
+# keeps at least one, so fewer than 2 * k! rejects come between two items.
+# SETWISE reads its block off a table of at most _TAIL! patterns; over the
+# benchmark's SETWISE heads a tail of 6 lists faster than one of 5.
 _TAIL = 6
 
 
@@ -245,8 +249,8 @@ def _stream(n: int, head: frozenset[int], mode: HeadMode) -> Iterator[Iterable[t
         in_free = [i not in head for i in range(1, n + 1)]  # picks a pool
         cut = max(n - _TAIL, 0)
         getters = _tail_getters(cut, in_free[cut:])
-        for prefix, taken in _odometer([(pools[c], 1) for c in in_free[:cut]]):
-            values = prefix + tuple(v for pool in pools for v in pool if v not in taken)
+        for prefix in _distinct([pools[c] for c in in_free[:cut]]):
+            values = prefix + tuple(v for pool in pools for v in pool if v not in prefix)
             yield [get(values) for get in getters]
         return
     if mode is HeadMode.SETWISE:
@@ -257,10 +261,26 @@ def _stream(n: int, head: frozenset[int], mode: HeadMode) -> Iterator[Iterable[t
     order = sorted(range(n), key=(pinned + free).__getitem__)
     place = tuple if order == sorted(order) else operator.itemgetter(*order)
     cut = max(len(free) - _TAIL, 0) if mode is HeadMode.EXACT else 0
-    avoid = free[cut:] if mode is HeadMode.EXACT else ()
-    for prefix, taken in _odometer([(free, 1, (pos,)) for pos in free[:cut]]):
-        rests = _arrangements(taken, free, len(free) - cut, avoid)
+    avoid = free[cut:]
+    for prefix in _distinct([[v for v in free if v != pos] for pos in free[:cut]]):
+        rests = itertools.permutations([v for v in free if v not in prefix])
+        if mode is HeadMode.EXACT:
+            rests = itertools.filterfalse(lambda c: any(map(operator.eq, c, avoid)), rests)
         yield map(place, map((pinned + prefix).__add__, rests))
+
+
+def _distinct(pools: Sequence[Sequence[int]]) -> Iterable[tuple[int, ...]]:
+    """Every tuple that takes its d-th value from pools[d], no value twice.
+
+    One generator per pool extends the prefixes of the one before it; each
+    pool in lex order gives the tuples in lex order.  A function binds each
+    pool, which a generator expression in a loop would read late.
+    """
+    return functools.reduce(
+        lambda prefixes, pool: (p + (v,) for p in prefixes for v in pool if v not in p),
+        pools,
+        [()],
+    )
 
 
 def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
@@ -290,48 +310,6 @@ def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
     return [operator.itemgetter(*pattern) for pattern in patterns]
 
 
-def _arrangements(
-    taken: set[int], pool: Sequence[int], length: int, avoid: tuple[int, ...] = ()
-) -> Iterator[tuple[int, ...]]:
-    """Lex-ordered arrangements of ``length`` values of ``pool`` not yet taken.
-
-    With ``avoid``, an arrangement is dropped when it puts avoid[j] at its
-    j-th place.
-    """
-    chunks = itertools.permutations([v for v in pool if v not in taken], length)
-    if avoid:
-        chunks = itertools.filterfalse(lambda c: any(map(operator.eq, c, avoid)), chunks)
-    return chunks
-
-
-def _odometer(lead: Sequence[tuple]) -> Iterator[tuple[tuple[int, ...], set[int]]]:
-    """Yield (prefix, taken) for every way to fill the lead stages in turn.
-
-    Stage d of ``lead`` holds the arguments after ``taken`` of an
-    ``_arrangements`` call, made over the values the stages before it left.
-    The prefixes come in lex order; ``taken`` is the set of their values,
-    valid until the next step.
-    """
-    picked: list[tuple[int, ...]] = []
-    taken: set[int] = set()
-    wheels = [_arrangements(taken, *lead[0])] if lead else []
-    while True:
-        if len(picked) == len(lead):
-            yield tuple(itertools.chain.from_iterable(picked)), taken
-        else:
-            chunk = next(wheels[-1], None)
-            if chunk is not None:
-                picked.append(chunk)
-                taken.update(chunk)
-                if len(picked) < len(lead):
-                    wheels.append(_arrangements(taken, *lead[len(picked)]))
-                continue
-            wheels.pop()
-        if not picked:
-            return
-        taken.difference_update(picked.pop())
-
-
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:
     if isinstance(whole, Permutation):
         return whole.image
@@ -359,7 +337,18 @@ def _normalize_sub(sub: "CaputSpec | Mapping[int, str | int] | Sequence[tuple[in
         pairs = sub.items()
     else:
         pairs = sub
-    return {int(pos): _point(sym) for pos, sym in pairs}
+    return {_position(pos): _point(sym) for pos, sym in pairs}
+
+
+def _position(pos: int | str) -> int:
+    """A position of ``sub``: an int, its decimal text or a whole float like 1.0."""
+    try:
+        point = int(pos)
+    except (TypeError, ValueError, OverflowError):
+        point = None
+    if point is None or (point != pos and not isinstance(pos, str)):
+        raise InvariantViolationError(f"head position {shown(pos)} is not a whole number")
+    return point
 
 
 def is_caput_of(

@@ -223,6 +223,10 @@ class CycleType(Value):
 
     def count(self, length: int) -> int:
         """Number of cycles of the given length."""
+        if not 1 <= length <= self.degree:
+            raise InvariantViolationError(
+                f"cycle length {shown(length)} outside 1..{self.degree}"
+            )
         return self.alpha[length - 1]
 
     def __str__(self) -> str:
@@ -449,7 +453,7 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
                 pts = tuple(int(s) for s in chunk.replace(",", " ").split())
             except ValueError:
                 raise InvariantViolationError(f"non-integer point in {text!r}") from None
-        elif chunk.isdigit():
+        elif chunk.isdecimal():
             pts = tuple(int(ch) for ch in chunk)
         else:
             raise InvariantViolationError(f"unreadable cycle {chunk!r} in {text!r}")
@@ -484,7 +488,7 @@ def point_to_symbol(point: int) -> str:
 def symbol_to_point(symbol: str) -> int:
     """'a' -> 1, 'b' -> 2, ...; numeric strings pass through."""
     s = symbol.strip().lower()
-    if s.isdigit():
+    if s.isdecimal():
         return int(s)
     if len(s) == 1 and s in _ALPHABET:
         return _ALPHABET.index(s) + 1

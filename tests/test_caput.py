@@ -220,24 +220,34 @@ class TestEnumerate:
                     got = [p.image for p in enumerate_caput(spec)]
                     assert got == list(brute_images(n, frozenset(head), mode)), (n, head)
 
-    # heads of three or more runs: the lead odometer holds two or more
-    # positions, and the tail's six positions hold both classes
+    # SETWISE heads of three or more runs: the lead holds two or more
+    # positions, and the tail's six positions hold both classes.  The empty
+    # head and {1} give EXACT a lead of three positions at n = 9 and two
+    # at n = 8, which no head at n <= 7 does.
     SETWISE_RUNS = {
-        9: [{2, 4, 6, 8}, {1, 9}, {3, 4, 8}, {7}, {8}, {2, 5}],
-        8: [{1, 8}, {2, 7}, {3, 5, 6}, {4}],
+        9: [set(), {1}, {2, 4, 6, 8}, {1, 9}, {3, 4, 8}, {7}, {8}, {2, 5}],
+        8: [set(), {1}, {1, 8}, {2, 7}, {3, 5, 6}, {4}],
     }
 
     @pytest.mark.parametrize("n", SETWISE_RUNS)
     def test_setwise_heads_of_many_runs_in_lex_order(self, n):
+        # one pass over S_n serves every head in every mode, with the tests
+        # of brute_images
         heads = [frozenset(head) for head in self.SETWISE_RUNS[n]]
-        expected = {head: [] for head in heads}
+        expected = {head: {mode: [] for mode in HeadMode} for head in heads}
         for image in all_perms(n):
+            fixed = naive_fixed_points(image)
             for head, kept in expected.items():
+                if head <= fixed:
+                    kept[HeadMode.LOOSE].append(image)
+                if fixed == head:
+                    kept[HeadMode.EXACT].append(image)
                 if {image[i - 1] for i in head} == head:
-                    kept.append(image)
-        for head in heads:
-            spec = CaputSpec(degree=n, head=head, mode=HeadMode.SETWISE)
-            assert [p.image for p in enumerate_caput(spec)] == expected[head], head
+                    kept[HeadMode.SETWISE].append(image)
+        for head, kept in expected.items():
+            for mode, images in kept.items():
+                spec = CaputSpec(degree=n, head=head, mode=mode)
+                assert [p.image for p in enumerate_caput(spec)] == images, (head, mode)
 
     def test_exact_stream_does_not_stall_on_rejects(self):
         # A plain fixed-point filter over S_12 in lex order would reject the
@@ -263,23 +273,46 @@ class TestEnumerate:
         assert first == [tuple(range(1, 11)), (1, 2, 3, 4, 5, 6, 7, 8, 10, 9)]
         assert peak < 1_000_000
 
+    # the first two EXACT items of each head at n = 12
+    EXACT_FIRSTS = {
+        frozenset({1}): [
+            (1, 3, 2, 5, 4, 7, 6, 9, 8, 11, 12, 10), (1, 3, 2, 5, 4, 7, 6, 9, 8, 12, 10, 11)
+        ],
+        frozenset({7}): [
+            (2, 1, 4, 3, 6, 5, 7, 9, 8, 11, 12, 10), (2, 1, 4, 3, 6, 5, 7, 9, 8, 12, 10, 11)
+        ],
+        frozenset({12}): [
+            (2, 1, 4, 3, 6, 5, 8, 7, 10, 11, 9, 12), (2, 1, 4, 3, 6, 5, 8, 7, 11, 9, 10, 12)
+        ],
+        frozenset({6, 7}): [
+            (2, 1, 4, 3, 8, 6, 7, 5, 10, 9, 12, 11), (2, 1, 4, 3, 8, 6, 7, 5, 10, 11, 12, 9)
+        ],
+    }
+
     @pytest.mark.parametrize("head", [{1}, {7}, {12}, {6, 7}])
     def test_setwise_stream_at_the_ceiling_starts_small_and_fast(self, head):
-        # it holds the table of tail patterns, one tail's images and one batch
-        spec = CaputSpec(degree=12, head=frozenset(head), mode=HeadMode.SETWISE)
-        start = time.process_time()
-        tracemalloc.start()
-        try:
-            first = [p.image for p in itertools.islice(enumerate_caput(spec), 2)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.process_time() - start < 1.0
-        assert peak < 1_000_000
-        second = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 12) if 12 in head else (
-            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 11
-        )
-        assert first == [tuple(range(1, 13)), second]
+        # SETWISE holds the table of tail patterns, one tail's images and one
+        # batch; EXACT, a lead of up to five positions and one batch
+        firsts = {
+            HeadMode.SETWISE: [
+                tuple(range(1, 13)),
+                (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 12) if 12 in head
+                else (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 11),
+            ],
+            HeadMode.EXACT: self.EXACT_FIRSTS[frozenset(head)],
+        }
+        for mode, expected in firsts.items():
+            spec = CaputSpec(degree=12, head=frozenset(head), mode=mode)
+            start = time.process_time()
+            tracemalloc.start()
+            try:
+                first = [p.image for p in itertools.islice(enumerate_caput(spec), 2)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.process_time() - start < 1.0, mode
+            assert peak < 1_000_000, mode
+            assert first == expected, mode
 
     def test_is_a_real_generator(self):
         for mode in HeadMode:
@@ -353,6 +386,16 @@ class TestIsCaputOf:
     def test_occupant_outside_ground_set(self):
         with pytest.raises(GroundSetMismatchError):
             is_caput_of({1: "e"}, "abcd")
+
+    @pytest.mark.parametrize("pos", [1, "1", 1.0])
+    def test_whole_positions_in_any_form(self, pos):
+        assert is_caput_of({pos: "a"}, "abc")
+        assert not is_caput_of({pos: "b"}, "abc")
+
+    @pytest.mark.parametrize("pos", [1.9, "x", "1.5", float("inf"), None])
+    def test_position_that_is_no_whole_number_is_named(self, pos):
+        with pytest.raises(InvariantViolationError, match=f"head position {pos!r} "):
+            is_caput_of({pos: "a"}, "abc")
 
     def test_permutation_as_whole(self):
         p = Permutation((2, 1, 3))

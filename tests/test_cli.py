@@ -278,6 +278,24 @@ class TestUsageErrors:
         assert code == 2
         assert "120" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["caput", "count", "--n", "4", "--head", "2=²"],
+        ["caput", "count", "--n", "4", "--head", "1=a,2=①"],
+        ["perm", "cycles", "(1²)"],
+    ])
+    def test_digits_int_cannot_read_are_refused(self, capsys, argv):
+        # '²' and '①' are digits to str.isdigit but not to int
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("combinatoria: error:")
+
+    def test_decimal_digits_of_any_script_are_read(self, capsys):
+        _, payload, _ = run_json(capsys, "perm", "cycles", "(1٣2)")
+        assert payload["result"]["result"]["one_line"] == "[3,1,2]"
+
     def test_count_past_the_counting_ceiling_is_refused(self, capsys):
         code, out, err = run(
             capsys, "partitions", "count", "--n", "99999999999999999999999999999999999"
@@ -351,7 +369,7 @@ _PERM_TEXT = (
         st.lists(st.sampled_from(["1", "2", "3", "x", "-1", "99999999999"]), min_size=1),
         min_size=1, max_size=3,
     ).map(lambda cycles: "".join("(" + " ".join(c) + ")" for c in cycles))
-    | st.text(alphabet="[](), 0123456789x", max_size=12)
+    | st.text(alphabet="[](), 0123456789x²①٣", max_size=12)
 )
 
 _HEAD_TEXT = (
@@ -359,7 +377,7 @@ _HEAD_TEXT = (
         st.tuples(st.integers(min_value=-1, max_value=8), st.sampled_from("abcdefgh123")),
         max_size=4,
     ).map(lambda pairs: ",".join(f"{pos}={sym}" for pos, sym in pairs))
-    | st.text(alphabet="1234=abc, ", max_size=8)
+    | st.text(alphabet="1234=abc, ²①٣", max_size=8)
 )
 
 _MODE = st.sampled_from(["loose", "exact", "setwise", "bogus"])

@@ -188,6 +188,13 @@ class TestCycleType:
         p = parse_one_line("[1,4,3,6,5,2]")
         assert str(cycle_type(p)) == "α₁=3 α₃=1"
 
+    def test_count_reads_lengths_one_to_the_degree_only(self):
+        t = CycleType(4, (1, 0, 1, 0))
+        assert [t.count(length) for length in range(1, 5)] == [1, 0, 1, 0]
+        for length in (0, -1, 5):
+            with pytest.raises(InvariantViolationError, match=r"cycle length .* outside 1\.\.4"):
+                t.count(length)
+
 
 class TestFixedPoints:
     def test_table_row_with_only_a_fixed(self):
