@@ -148,13 +148,15 @@ def _cmd_partitions_list(args) -> _Answer:
 
 
 def _cmd_classes(args) -> _Answer:
-    classes = []
-    for t in partitions_mod.cycle_types_of(args.n):
+    classes = (
         # the cycle lengths are the partition's parts, already in order
-        partition = ",".join(map(str, t.cycle_lengths()))
-        classes.append((str(t), partition, partitions_mod.class_order(t).order))
+        (str(t), ",".join(map(str, t.cycle_lengths())), partitions_mod.class_order(t).order)
+        for t in partitions_mod.cycle_types_of(args.n)
+    )
     if args.format != "json":
         return ["cycle_type", "partition", "order"], classes
+    # the totals need every class before the first is written
+    classes = list(classes)
     return {
         "n": args.n,
         "class_count": str(len(classes)),
@@ -190,14 +192,11 @@ def _cmd_caput_count(args) -> _Answer:
 
 def _cmd_caput_enumerate(args) -> _Answer:
     spec = _caput_spec_from_args(args)
-    perms = list(enumerate_caput(spec))
+    perms = enumerate_caput(spec)
     if args.format != "json":
         return _PERM_HEADER, map(_perm_row, perms)
-    return {
-        "spec": _caput_echo(spec),
-        "count": str(len(perms)),
-        "permutations": [format_one_line(p) for p in perms],
-    }
+    lines = list(map(format_one_line, perms))
+    return {"spec": _caput_echo(spec), "count": str(len(lines)), "permutations": lines}
 
 
 def _cmd_problems_solve(args) -> _Answer:

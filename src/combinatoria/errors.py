@@ -3,6 +3,7 @@
 All of them subclass ValueError so that callers who do not care about the
 distinction can catch the usual thing.
 """
+import operator
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -107,10 +108,20 @@ def shown(value: object) -> str:
         return f"<a {type(value).__name__} holding an int too long to print>"
 
 
+def whole(what: str, size: object) -> int:
+    """The size as an int, read through ``operator.index``: ints pass, bools
+    read as 0 and 1, and anything else, a float included, is refused by name."""
+    try:
+        return operator.index(size)
+    except TypeError:
+        raise InvariantViolationError(f"{what} must be a whole number, got {shown(size)}") from None
+
+
 def refuse_past(row: str, size: int) -> None:
-    """Refuse a size past the row's ceiling; the message never renders the size."""
+    """Refuse a size that is not a whole number, or past the row's ceiling;
+    the ceiling's message never renders the size."""
     ceiling = CEILINGS[row]
-    if size > ceiling.limit:
+    if whole(ceiling.request, size) > ceiling.limit:
         raise EnumerationTooLargeError(
             f"{ceiling.request} is capped at {ceiling.limit}; {ceiling.fallback} still works"
         )

@@ -18,7 +18,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._value import Value
-from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
+from .errors import CEILINGS, InvariantViolationError, refuse_past, shown, whole
 from .perm import CycleType, _alpha, _trusted_cycle_type
 
 if TYPE_CHECKING:
@@ -158,6 +158,7 @@ def two_part_count(n: int) -> int:
 
     For n < 2 there is no two-part partition; the count is 0, not an error.
     """
+    n = whole("the n of a two-part count", n)
     if n < 2:
         return 0
     return n // 2

