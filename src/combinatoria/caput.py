@@ -14,7 +14,8 @@ historical notion genuinely covers all three:
 Heads over repeated/homogeneous symbols (multiset variations) are out of
 scope: no closed form is implemented for them, and none is invented here.
 A head of size one is called monadic; its LOOSE count (n-1)! is exactly the
-circle-of-neighbours count of `problems.vicinity_variations`.
+circle-of-neighbours count of `problems.vicinity_variations`, and its LOOSE
+listing at position 1 is `problems.vicinity_classes`.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .errors import (
     InvariantViolationError,
     refuse_past,
     shown,
+    whole,
 )
 from .perm import Permutation, _trusted_all, point_to_symbol, symbol_to_point
 
@@ -72,6 +74,7 @@ class CaputSpec(Value):
     def __init__(
         self, degree: int, head: frozenset[int] = frozenset(), mode: HeadMode = HeadMode.LOOSE
     ) -> None:
+        degree = whole("the degree of a head", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
         head = frozenset(head)
@@ -98,8 +101,7 @@ class CaputSpec(Value):
 
         ``CaputSpec.fixing_symbols(4, "a")`` pins a at position 1.
         """
-        positions = frozenset(symbol_to_point(str(s)) for s in symbols)
-        return cls(degree=degree, head=positions, mode=mode)
+        return cls(degree=degree, head=frozenset(map(_point, symbols)), mode=mode)
 
     @classmethod
     def parse_head(
@@ -227,7 +229,13 @@ def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
       positions and of the free values over its free positions.
     """
     refuse_past("head enumeration", spec.degree)
-    return _trusted_all(itertools.chain.from_iterable(_stream(spec.degree, spec.head, spec.mode)))
+    return _trusted_all(_images(spec))
+
+
+def _images(spec: CaputSpec) -> Iterator[tuple[int, ...]]:
+    """The listing's one-line images in lex order, under no ceiling; the
+    witnesses of problems 4 and 5 are cut short instead."""
+    return itertools.chain.from_iterable(_stream(spec.degree, spec.head, spec.mode))
 
 
 # The last _TAIL positions form one block, and the cut = n - _TAIL or fewer
@@ -313,8 +321,7 @@ def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:
     if isinstance(whole, Permutation):
         return whole.image
-    items = list(whole)
-    points = tuple(map(_point, items))
+    points = tuple(map(_point, whole))
     if sorted(points) != list(range(1, len(points) + 1)):
         raise InvariantViolationError(
             f"arrangement {shown(whole)} is not a rearrangement of a reference alphabet"

@@ -200,7 +200,9 @@ def _cmd_caput_enumerate(args) -> _Answer:
 
 
 def _cmd_problems_solve(args) -> _Answer:
-    outcome = problems_mod.solve(args.id, args.n, args.k, with_witnesses=args.witnesses)
+    # only json prints witnesses, so no other format asks for them
+    witnesses = args.witnesses and args.format == "json"
+    outcome = problems_mod.solve(args.id, args.n, args.k, with_witnesses=witnesses)
     if args.format != "json":
         row = [str(outcome.problem_id), outcome.status, _cell(outcome.count)]
         return ["problem_id", "status", "count"], [row]

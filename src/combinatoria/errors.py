@@ -61,6 +61,11 @@ CEILINGS = MappingProxyType({
     "coordinate listing": Ceiling(20, "the gradus of a coordinate listing", "personae_count"),
     # (10-1)! = 362,880 representatives
     "vicinity listing": Ceiling(10, "the n of a vicinity class listing", "vicinity_variations"),
+    # 1000 witnesses of 1000 points: problems solve --id 4 --n 1000 --witnesses
+    # --format json takes 0.37 CPU s and 111 MB RSS (--n 3000: 1.0 s, 306 MB)
+    "witness points": Ceiling(
+        1_000, "the points of one problem witness", "problems solve without witnesses"
+    ),
     # 9! = 362,880 permutations: the census of S_9 takes about 1.4 CPU s
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
     # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.64 s, 50 MB RSS

@@ -348,9 +348,9 @@ def verify_all(max_n: int) -> list[OracleReport]:
     Failures are reported, never raised; max_n = 0 degenerates to an all-pass
     run over empty ranges.
     """
+    refuse_past("verify sweep", max_n)
     if max_n < 0:
         raise InvariantViolationError("max_n must be >= 0")
-    refuse_past("verify sweep", max_n)
     reports = []
     for claim, label, top_of, check in _SUITES:
         top = top_of(max_n)

@@ -132,9 +132,9 @@ def count_partitions(n: int) -> int:
     Euler's pentagonal recurrence, filled bottom-up in a table local to the
     call, so nothing outlives it.
     """
+    refuse_past("partition count", n)
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
-    refuse_past("partition count", n)
     table = [1]
     for m in range(1, n + 1):
         acc = 0

@@ -43,6 +43,7 @@ from .errors import (
     InvariantViolationError,
     refuse_past,
     shown,
+    whole,
 )
 
 __all__ = [
@@ -193,6 +194,7 @@ class CycleType(Value):
 
     def __init__(self, degree: int, alpha: Iterable[int]) -> None:
         alpha = tuple(alpha)
+        degree = whole("the degree of a cycle type", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
         if len(alpha) != degree or min(alpha) < 0:
@@ -375,6 +377,8 @@ def from_cycles(
         raise InvariantViolationError("cycles are not disjoint")
     n = degree if degree is not None else max(mentioned)
     refuse_past("cycle degree", n)
+    if n < 1:
+        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
     image = list(range(1, n + 1))
     for pts in cycle_list:
         for x in pts:
@@ -382,8 +386,6 @@ def from_cycles(
                 raise InvariantViolationError(f"point {shown(x)} outside 1..{n}")
         for i, x in enumerate(pts):
             image[x - 1] = pts[(i + 1) % len(pts)]
-    if n < 1:
-        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
     # disjoint cycles of points in 1..n, every other point fixed: a bijection
     return _trusted(tuple(image))
 

@@ -7,9 +7,13 @@ covered by the complexion family (subset counting), and the remaining ids
 are reserved tags carried with a "not specified in source" status rather
 than invented solutions.
 
+Problems 4 and 5 are loose heads over 1..n, the empty head and the monadic
+head at position 1: their witnesses, their reductions and the vicinity
+classes all read the one head listing of ``caput``.
+
 Everything here is exact integer arithmetic.  The enumerating variants cap
-their output sizes, and the counting variants the sizes of their factorial,
-power-of-two and binomial counts.
+their output sizes and the points of a witness, and the counting variants
+the sizes of their factorial, power-of-two and binomial counts.
 """
 from __future__ import annotations
 
@@ -18,9 +22,9 @@ import math
 from typing import Iterator, Sequence
 
 from ._value import Value
-from .caput import CaputSpec, HeadMode, _factorial, count_caput
-from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past, shown
-from .perm import Permutation, _trusted, _trusted_all
+from .caput import CaputSpec, _factorial, _images, count_caput, enumerate_caput
+from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past, shown, whole
+from .perm import Permutation, _trusted
 
 __all__ = [
     "ProblemResult",
@@ -59,12 +63,18 @@ PROBLEM_TITLES: dict[int | str, str] = {
     SIMPLICITER: "all complexions of a whole, every exponent at once",
 }
 
+# Problems 4 and 5 as loose heads over 1..n, and how a reduction names each
+_HEADS = {4: frozenset(), 5: frozenset({1})}
+_HEAD_NAMES = {4: "empty head, loose mode", 5: "monadic head at position 1, loose mode"}
+
 
 def complexions(n: int, k: int) -> int:
     """Size-k sub-wholes of an n-whole: the binomial coefficient.
 
     k = 1 counts the "unions" (singletons); k > n yields 0, not an error.
     """
+    n = whole("the n of a binomial count C(n, k)", n)
+    k = whole("the k of a binomial count C(n, k)", k)
     if n < 0 or k < 0:
         raise InvariantViolationError("complexions need n >= 0 and k >= 0")
     if k > n:
@@ -122,17 +132,13 @@ def canonical_vicinity(arrangement: Permutation | Sequence[int]) -> Permutation:
 def vicinity_classes(n: int) -> list[Permutation]:
     """One canonical representative per rotation class, (n-1)! in all.
 
-    Representatives start with point 1 and come out in lexicographic order.
+    The representatives are the listing of the monadic head at position 1,
+    loose mode: they start with point 1 and come out in lexicographic order.
     """
+    refuse_past("vicinity listing", n)
     if n < 1:
         raise InvalidDegreeError("vicinity classes need n >= 1")
-    refuse_past("vicinity listing", n)
-    return list(_trusted_all(_vicinity_images(n)))
-
-
-def _vicinity_images(n: int) -> Iterator[tuple[int, ...]]:
-    """The one-line images of the vicinity class representatives, in lex order."""
-    return map((1,).__add__, itertools.permutations(range(2, n + 1)))
+    return list(enumerate_caput(CaputSpec(n, _HEADS[5])))
 
 
 def problem7_product(n: int, head_size: int) -> int:
@@ -234,12 +240,8 @@ _PROBLEMS = {
     1: _COMPLEXION,
     2: _COMPLEXION,
     3: _COMPLEXION,
-    4: (
-        lambda n, k: variations_of_order(n),
-        lambda n, k: itertools.permutations(range(1, n + 1)),
-        None,
-    ),
-    5: (lambda n, k: vicinity_variations(n), lambda n, k: _vicinity_images(n), None),
+    4: (lambda n, k: variations_of_order(n), lambda n, k: _images(CaputSpec(n, _HEADS[4])), None),
+    5: (lambda n, k: vicinity_variations(n), lambda n, k: _images(CaputSpec(n, _HEADS[5])), None),
     7: (lambda n, k: problem7_product(n, k), None, "problem 7 needs the head size k"),
     SIMPLICITER: (
         lambda n, k: complexiones_simpliciter(n),
@@ -280,34 +282,17 @@ def solve(
     count = count_of(n, k)
     witnesses, truncated = None, False
     if with_witnesses and listing:
-        # Streamed, cut at limit + 1: only what is kept is built, and the
-        # extra item tells whether anything was cut.
-        kept = tuple(itertools.islice(listing(n, k), witness_limit + 1))
+        if whole("the witness limit", witness_limit) < 0:
+            raise InvariantViolationError("the witness limit must be >= 0")
+        # Streamed, cut at limit + 1: only what is kept is built, and the extra
+        # item tells whether anything was cut.  The first witness is refused
+        # past its row: in problems 1-5 it is as large as any other.
+        stream = listing(n, k)
+        kept = tuple(itertools.islice(stream, 1))
+        refuse_past("witness points", max(map(len, kept), default=0))
+        kept += tuple(itertools.islice(stream, witness_limit))
         witnesses, truncated = kept[:witness_limit], len(kept) > witness_limit
     return ProblemResult(problem_id, inputs, count, witnesses, truncated)
-
-
-def _heads_listed(n: int, k: int, heads: int) -> int:
-    """Count the size-k heads over 1..n by listing them, once their number,
-    the direct count C(n, k), is within its ceiling.  These heads are the
-    exponent-k complexions, so the binomial formula is not reused."""
-    refuse_past("reduction heads", heads)
-    return sum(1 for _ in _subsets(n, k))
-
-
-def _loose(head: frozenset):
-    return lambda n, k, direct: count_caput(CaputSpec(degree=n, head=head, mode=HeadMode.LOOSE))
-
-
-# Each id whose count the head machinery recovers: that count, called with
-# (n, k, the direct count), and a template for the head it uses.
-_REDUCTIONS = {
-    **dict.fromkeys(
-        (1, 2, 3), (_heads_listed, "all size-{k} heads over 1..{n}, counted by enumeration")
-    ),
-    4: (_loose(frozenset()), "empty head, loose mode"),
-    5: (_loose(frozenset({1})), "monadic head at position 1, loose mode"),
-}
 
 
 def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> CaputReduction:
@@ -330,7 +315,15 @@ def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> Capu
         return CaputReduction(
             problem_id, inputs, status=solved.status, note=PROBLEM_TITLES[problem_id]
         )
-    if problem_id not in _REDUCTIONS:
+    if problem_id in _HEADS:
+        via_caput = count_caput(CaputSpec(n, _HEADS[problem_id]))
+        description = _HEAD_NAMES[problem_id]
+    elif problem_id in (1, 2, 3):
+        # these heads are the exponent-k complexions: listed, not counted by formula
+        refuse_past("reduction heads", direct)
+        via_caput = sum(1 for _ in _subsets(n, k))
+        description = f"all size-{k} heads over 1..{n}, counted by enumeration"
+    else:
         return CaputReduction(
             problem_id,
             inputs,
@@ -339,12 +332,11 @@ def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> Capu
             note="the sum over all exponents at once does not arise from any "
             "single invariant head",
         )
-    via_caput, head = _REDUCTIONS[problem_id]
     return CaputReduction(
         problem_id,
         inputs,
         status="ok",
         direct_count=direct,
-        caput_count=via_caput(n, k, direct),
-        head_description=head.format(n=n, k=k),
+        caput_count=via_caput,
+        head_description=description,
     )

@@ -11,6 +11,10 @@ import contextlib
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,81 @@ def test_reduction_refuses_to_list_heads_past_the_ceiling():
     assert "problems solve" in str(refused.value)
 
 
+WITNESS_POINTS = CEILINGS["witness points"].limit
+
+# (problem id, n, k) whose witnesses hold one point past the row: n points
+# in problems 4 and 5, k in problems 1-3
+PAST_WITNESS = {
+    "problem 4": (4, WITNESS_POINTS + 1, None),
+    "problem 5": (5, WITNESS_POINTS + 1, None),
+    "problem 1": (1, 2 * WITNESS_POINTS, WITNESS_POINTS + 1),
+    "problem 2": (2, WITNESS_POINTS + 1, WITNESS_POINTS + 1),
+}
+
+
+@pytest.mark.parametrize("name", PAST_WITNESS)
+def test_witnesses_past_the_row_are_refused(name):
+    problem_id, n, k = PAST_WITNESS[name]
+    assert problems.solve(problem_id, n, k).status == "ok"
+    with pytest.raises(EnumerationTooLargeError) as refused:
+        problems.solve(problem_id, n, k, with_witnesses=True)
+    assert str(WITNESS_POINTS) in str(refused.value)
+    assert "problems solve without witnesses" in str(refused.value)
+
+
+def test_witnesses_at_the_row_are_listed():
+    whole = problems.solve(1, WITNESS_POINTS, WITNESS_POINTS, with_witnesses=True)
+    assert whole.witnesses == (frozenset(range(1, WITNESS_POINTS + 1)),)
+    none = problems.solve(1, WITNESS_POINTS, WITNESS_POINTS + 1, with_witnesses=True)
+    assert none.count == 0 and none.witnesses == ()
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+def test_cli_asks_for_witnesses_only_to_print_them(fmt):
+    argv = ["problems", "solve", "--id", "4", "--n", str(WITNESS_POINTS + 1), "--format", fmt]
+    code, out, err = _cli([*argv, "--witnesses"])
+    if fmt != "json":
+        assert code == 0 and (code, out, err) == _cli(argv)
+        return
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("combinatoria: error:")
+    assert str(WITNESS_POINTS) in lines[0]
+
+
+# VmHWM is the peak RSS of this process image alone; ru_maxrss would also
+# count the test process the child was forked from
+CHILD = """
+import re, sys
+from combinatoria.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", status.read())[1], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_a_table_with_witnesses_asked_for_builds_none():
+    # 1000 witness images of 50,000 points would take about 400 MB; a bare
+    # interpreter peaks near 16 MB
+    argv = ["problems", "solve", "--id", "4", "--n", str(FACTORIAL), "--witnesses"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv, "--format", "human"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stderr) < 100_000  # kB
+
+
 @pytest.mark.parametrize("n, k", [(PAST_HEADS, 2), (100_000, 3)])
 def test_cli_refuses_a_reduction_past_the_heads_ceiling(n, k):
     out, err = io.StringIO(), io.StringIO()
@@ -254,6 +333,11 @@ MESSAGE_SITES = {
         "head positions [0, 4] outside 1..3",
         lambda: CaputSpec(3, frozenset({HUGE})),
     ),
+    "CaputSpec.fixing_symbols": (
+        lambda: CaputSpec.fixing_symbols(4, ["e"]),
+        "head positions [5] outside 1..4",
+        lambda: CaputSpec.fixing_symbols(4, [HUGE]),
+    ),
     "satisfies": (
         lambda: caput.satisfies(CaputSpec(2), perm.Permutation((1,))),
         "permutation of degree 1 against a head over 1..2",
@@ -303,14 +387,24 @@ NOT_WHOLE = {
     "identity": lambda: perm.identity(2.0),
     "vicinity_classes": lambda: problems.vicinity_classes(3.0),
     "complexions": lambda: problems.complexions(4.0, 2),
+    "complexions k past n": lambda: problems.complexions(4.0, 5),
+    "complexions n below k": lambda: problems.complexions(1.5, 2),
+    "complexions k": lambda: problems.complexions(4, 2.0),
+    "count_partitions text": lambda: partitions.count_partitions("3"),
+    "CycleType": lambda: perm.CycleType(2.0, (0, 1)),
     "verify_all": lambda: oracle.verify_all(1.5),
+    "verify_all text": lambda: oracle.verify_all("2"),
     "count_caput": lambda: caput.count_caput(CaputSpec(3.5)),
+    "CaputSpec": lambda: CaputSpec(2.5),
 }
 
 
 @pytest.mark.parametrize("name", NOT_WHOLE)
 def test_a_size_that_is_not_a_whole_number_is_refused_by_name(name):
-    with pytest.raises(InvariantViolationError, match=r"must be a whole number, got \d\.\d$"):
+    # a size is compared only once it is read as a whole number: no case
+    # returns a count or ends in a bare TypeError
+    refused = r"must be a whole number, got (\d\.\d|'\d')$"
+    with pytest.raises(InvariantViolationError, match=refused):
         NOT_WHOLE[name]()
 
 

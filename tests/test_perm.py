@@ -166,6 +166,10 @@ class TestCycles:
         with pytest.raises(InvariantViolationError):
             from_cycles([(1, 2), (2, 3)])
 
+    def test_from_cycles_refuses_degree_zero_before_reading_points(self):
+        with pytest.raises(InvalidDegreeError, match="^degree 0 is not admitted"):
+            from_cycles([(1, 2)], degree=0)
+
 
 def reference_cycles(image: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycles through plain dict lookups: each from its smallest point, ordered

@@ -237,6 +237,12 @@ class TestSolve:
         assert result.truncated
         assert len(result.witnesses) == 10
 
+    @pytest.mark.parametrize("limit", [-1, -2])
+    def test_a_negative_witness_limit_is_refused_by_name(self, limit):
+        with pytest.raises(InvariantViolationError, match="^the witness limit must be >= 0$"):
+            solve(4, n=3, with_witnesses=True, witness_limit=limit)
+        assert solve(4, n=3, with_witnesses=True, witness_limit=0).truncated
+
     def test_vicinity_witnesses(self):
         result = solve(5, n=4, with_witnesses=True)
         assert len(result.witnesses) == 6

@@ -1,13 +1,13 @@
 """Results built without re-validation behave exactly like validated ones.
 
-compose, inverse, from_cycles (and so parse_cycles), vicinity_classes,
-canonical_vicinity and enumerate_caput build their Permutations from already
-checked data without running the constructor's checks, vicinity_classes and
-enumerate_caput in batches through perm._trusted_all; cycle_types_of and
-partition_to_cycle_type build their CycleTypes, and class_order its
-ClassOrder, the same way; TreeCoordinate has a hand-written __init__.  Each
-must be indistinguishable from an object built through the public
-constructor.  Every trusted builder is a module-level name starting with
+compose, inverse, from_cycles (and so parse_cycles), canonical_vicinity and
+enumerate_caput build their Permutations from already checked data without
+running the constructor's checks, enumerate_caput in batches through
+perm._trusted_all; vicinity_classes is the enumerate_caput listing of the
+monadic head at position 1.  cycle_types_of and partition_to_cycle_type
+build their CycleTypes, and class_order its ClassOrder, the same way;
+TreeCoordinate has a hand-written __init__.  Each must be indistinguishable
+from an object built through the public constructor.  Every trusted builder is a module-level name starting with
 ``_trusted``, and each has a row in TRUSTED_BUILDERS.
 
 The value classes are slotted classes, not dataclasses; each must behave as
