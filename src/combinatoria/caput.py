@@ -147,9 +147,9 @@ def derangements(m: int) -> int:
     D(0) = 1 (the empty permutation fixes nothing, vacuously), D(1) = 0,
     then D(m) = (m-1) * (D(m-1) + D(m-2)).
     """
+    m = refuse_past("derangement count", m)
     if m < 0:
         raise InvariantViolationError("derangements are defined for m >= 0")
-    refuse_past("derangement count", m)
     # Only the last two values are kept: a table of every D(k) would grow
     # quadratically in memory with m.  The k = 1 step multiplies the unused
     # D(-1) by 0.
@@ -166,9 +166,9 @@ def derangements_by_inclusion_exclusion(m: int) -> int:
     sum has m + 1 terms of up to m! each, so it is refused past its own row
     of ``CEILINGS``, far below the derangement row.
     """
+    m = refuse_past("inclusion-exclusion sum", m)
     if m < 0:
         raise InvariantViolationError("derangements are defined for m >= 0")
-    refuse_past("inclusion-exclusion sum", m)
     return sum((-1) ** j * math.comb(m, j) * math.factorial(m - j) for j in range(m + 1))
 
 

@@ -122,11 +122,13 @@ def whole(what: str, size: object) -> int:
         raise InvariantViolationError(f"{what} must be a whole number, got {shown(size)}") from None
 
 
-def refuse_past(row: str, size: int) -> None:
-    """Refuse a size that is not a whole number, or past the row's ceiling;
-    the ceiling's message never renders the size."""
+def refuse_past(row: str, size: object) -> int:
+    """The size as an int, refused if it is not a whole number or lies past
+    the row's ceiling; the ceiling's message never renders the size."""
     ceiling = CEILINGS[row]
-    if whole(ceiling.request, size) > ceiling.limit:
+    size = whole(ceiling.request, size)
+    if size > ceiling.limit:
         raise EnumerationTooLargeError(
             f"{ceiling.request} is capped at {ceiling.limit}; {ceiling.fallback} still works"
         )
+    return size

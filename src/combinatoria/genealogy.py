@@ -56,15 +56,17 @@ _set_antecedens = TreeCoordinate.antecedens.__set__
 _set_sequens = TreeCoordinate.sequens.__set__
 
 
-def _check_gradus(gradus: int, request: str) -> None:
+def _check_gradus(gradus: int, request: str) -> int:
+    """The gradus as an int, refused past the request's row or below 0."""
+    gradus = refuse_past(request, gradus)
     if gradus < 0:
         raise InvariantViolationError("gradus starts at 0, the subject person")
-    refuse_past(request, gradus)
+    return gradus
 
 
 def personae_count(gradus: int) -> int:
     """Persons at the given degree: 2^n * (n + 1), exactly."""
-    _check_gradus(gradus, "power-of-two count")
+    gradus = _check_gradus(gradus, "power-of-two count")
     return 2**gradus * (gradus + 1)
 
 
@@ -83,6 +85,6 @@ def coordinates(gradus: int) -> list[TreeCoordinate]:
     Ordered pairs come out in lexicographic order, so (a, b) precedes (b, a)
     whenever a < b and both occur.  The list length is personae_count(gradus).
     """
-    _check_gradus(gradus, "coordinate listing")
+    gradus = _check_gradus(gradus, "coordinate listing")
     pairs = itertools.product(range(2**gradus), range(gradus + 1))
     return list(itertools.starmap(TreeCoordinate, pairs))

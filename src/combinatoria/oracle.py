@@ -75,9 +75,9 @@ class OracleReport(Value):
 
 def enumerate_sn(n: int) -> Iterator[Permutation]:
     """Every element of S_n exactly once, lexicographic one-line order."""
+    n = refuse_past("S_n walk", n)
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    refuse_past("S_n walk", n)
     for image in itertools.permutations(range(1, n + 1)):
         yield Permutation(image)
 
@@ -116,9 +116,9 @@ def _census(n: int) -> _Census:
     # cycle_types counts each multiset of cycle lengths; fixed[m] counts the
     # permutations whose fixed points (the single-bit masks) are exactly the
     # mask m; invariant[m] those for which m is a union of cycles.
+    n = refuse_past("S_n walk", n)
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    refuse_past("S_n walk", n)
     points = range(1, n + 1)
     by_partition = Counter(map(_orbit_masks, itertools.permutations(points)))
     rotations = {
@@ -167,9 +167,9 @@ def count_caput_by_filter(n: int, head: frozenset[int], mode: HeadMode) -> int:
 
 def count_partitions_by_enumeration(n: int) -> int:
     """p(n) by walking every partition; no recurrence involved."""
+    n = refuse_past("partition walk", n)
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
-    refuse_past("partition walk", n)
 
     def walk(remaining: int, cap: int) -> int:
         if remaining == 0:
@@ -190,6 +190,7 @@ def count_two_part_by_enumeration(n: int) -> int:
 
 def count_derangements_by_filter(m: int) -> int:
     """Permutations of m points without fixed points, read off the census."""
+    m = refuse_past("S_n walk", m)
     if m == 0:
         return 1
     return _census(m).fixed[0]
@@ -216,7 +217,8 @@ def _check_class_orders(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         census = cycle_type_census(n)
         types = partitions.cycle_types_of(n)
-        # ZS1's order is reverse lexicographic on the descending cycle lengths
+        # the listing steps ZS1's order on count vectors: reverse
+        # lexicographic on the descending cycle lengths
         yield from _first_difference(
             f"n={n}", [t.cycle_lengths() for t in types], sorted(census, reverse=True)
         )

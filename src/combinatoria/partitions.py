@@ -5,6 +5,12 @@ integers summing to N.  Partitions of n index the conjugacy classes of S_n:
 the parts are the cycle lengths.  Class sizes come from the classical
 quotient n! / (1^a1 a1! 2^a2 a2! ... n^an an!), evaluated exactly.
 
+Both listings walk the same reverse-lexicographic order (ZS1, Zoghbi and
+Stojmenovic 1998).  ``enumerate_partitions`` walks it on the list of parts,
+which each ``Partition`` keeps; ``cycle_types_of`` walks it on the count
+vector (alpha_1, ..., alpha_n) itself, the multiplicity form of Knuth's
+TAOCP 7.2.1.4, so no class's parts are listed or counted.
+
 ``ClassOrder``, the value ``class_order`` returns, is defined in
 ``combinatoria._class_order`` with ``dataclasses``, which that module alone
 imports.  ``partitions.ClassOrder`` resolves to it on first use (a module
@@ -14,7 +20,8 @@ pickles that name ``combinatoria.partitions.ClassOrder`` still load.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from functools import lru_cache
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._value import Value
@@ -83,7 +90,6 @@ def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
     # order in constant amortized time.  x[:m] is the current partition and
     # h the index of its last part above 1; each step lowers x[h] by one
     # and spreads the parts of size 1 behind it in parts of that size.
-    refuse_past("partition listing", n)
     if n == 0:
         yield ()
         return
@@ -115,12 +121,42 @@ def _descending_parts(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(x[:m])
 
 
+def _descending_alphas(n: int) -> Iterator[tuple[int, ...]]:
+    # ZS1's order again, stepped on the count vector (n >= 1): alpha[i - 1]
+    # parts of size i, and sizes the part sizes above 1 that are present,
+    # smallest last.  Each step takes one part v of the smallest such size
+    # and spreads v plus the parts of size 1 in parts of size v - 1, the
+    # remainder in one smaller part.
+    alpha = [0] * n
+    alpha[n - 1] = 1
+    sizes = [n] if n > 1 else []
+    yield tuple(alpha)
+    while sizes:
+        v = sizes[-1]
+        left = alpha[v - 1] - 1
+        alpha[v - 1] = left
+        if not left:
+            sizes.pop()
+        r = v - 1
+        q, rest = divmod(v + alpha[0], r)
+        alpha[0] = 0
+        alpha[r - 1] += q
+        if r > 1:
+            sizes.append(r)
+        if rest:
+            alpha[rest - 1] += 1
+            if rest > 1:
+                sizes.append(rest)
+        yield tuple(alpha)
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order.
 
     >>> [str(p) for p in enumerate_partitions(4)]
     ['4', '3,1', '2,2', '2,1,1', '1,1,1,1']
     """
+    n = refuse_past("partition listing", n)
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
     return [Partition(parts) for parts in _descending_parts(n)]
@@ -188,14 +224,21 @@ def _first_class_order(degree: int, cycle_type: CycleType, order: int) -> ClassO
 _new_class_order = _first_class_order
 
 
+@lru_cache(maxsize=1)
+def _factorial_of_degree(n: int) -> int:
+    # one n! at a time: a class listing asks for the same degree p(n) times
+    return math.factorial(n)
+
+
 def class_order(t: CycleType) -> ClassOrder:
     """Size of the class with cycle structure t.
 
     n! divided by the product of i^alpha_i * alpha_i!, all exact integers.
     Only the cycle lengths present in t are visited; an absent length
-    (alpha_i = 0) would contribute 1.  The product is the order of the
-    centralizer, a divisor of n!, so the quotient is at least 1 and the
-    result skips ``ClassOrder``'s check.
+    (alpha_i = 0) would contribute 1, and a single i-cycle contributes i.
+    n! is kept for the last degree asked, so a class listing computes it
+    once.  The product is the order of the centralizer, a divisor of n!, so
+    the quotient is at least 1 and the result skips ``ClassOrder``'s check.
 
     >>> class_order(CycleType(4, (1, 0, 1, 0))).order
     8
@@ -205,8 +248,8 @@ def class_order(t: CycleType) -> ClassOrder:
     denominator = 1
     for i in compress(range(1, n + 1), alpha):
         a = alpha[i - 1]
-        denominator *= i**a * math.factorial(a)
-    return _new_class_order(n, t, math.factorial(n) // denominator)
+        denominator *= i if a == 1 else i**a * math.factorial(a)
+    return _new_class_order(n, t, _factorial_of_degree(n) // denominator)
 
 
 def partition_to_cycle_type(p: Partition) -> CycleType:
@@ -227,9 +270,14 @@ def cycle_types_of(n: int) -> list[CycleType]:
     """One cycle type per conjugacy class of S_n; there are p(n) of them.
 
     Ordered like enumerate_partitions(n): the full n-cycle class first, the
-    identity class last.
+    identity class last.  The counts are stepped from class to class, never
+    counted off a list of parts.
+
+    >>> [t.alpha for t in cycle_types_of(4)]
+    [(0, 0, 0, 1), (1, 0, 1, 0), (0, 2, 0, 0), (2, 1, 0, 0), (4, 0, 0, 0)]
     """
+    n = refuse_past("partition listing", n)
     if n < 1:
         raise InvariantViolationError("S_n needs n >= 1")
-    # ZS1 yields partitions of n, so every alpha weighs up to n
-    return [_trusted_cycle_type(n, _alpha(n, parts)) for parts in _descending_parts(n)]
+    # each walked alpha is a partition of n: it weighs up to n
+    return list(map(_trusted_cycle_type, repeat(n), _descending_alphas(n)))

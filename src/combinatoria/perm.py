@@ -14,10 +14,11 @@ Validation happens at the edges only: the public constructors and parsers
 (``Permutation(...)``, ``parse_one_line``, ``parse_cycles``, ``from_cycles``)
 check every input, and results the package computes from already checked
 permutations (products, inverses, enumerations) are trusted and built
-without re-checking.  The cycle types of a class listing
-(``partitions.cycle_types_of``, ``partitions.partition_to_cycle_type``) are
-trusted too: their alpha is counted off partitions the package generated or
-checked.  Every trusted builder is a module-level name starting with
+without re-checking.  Two sources of cycle types are trusted too:
+``partitions.cycle_types_of``, whose alphas are stepped from class to class
+by a walk of partitions of n in count-vector form, and
+``partitions.partition_to_cycle_type``, whose alpha is counted off a checked
+partition.  Every trusted builder is a module-level name starting with
 ``_trusted``.
 
 The cycle readers ``cycle_decomposition``, ``cycle_type`` and
@@ -296,9 +297,9 @@ def identity(n: int) -> Permutation:
     >>> str(identity(3))
     '[1,2,3]'
     """
+    n = refuse_past("permutation degree", n)
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    refuse_past("permutation degree", n)
     return _trusted(tuple(range(1, n + 1)))
 
 

@@ -73,14 +73,19 @@ def complexions(n: int, k: int) -> int:
 
     k = 1 counts the "unions" (singletons); k > n yields 0, not an error.
     """
+    return math.comb(*_binomial_sizes(n, k))
+
+
+def _binomial_sizes(n: int, k: int) -> tuple[int, int]:
+    """n and k as C(n, k) reads them: whole, not negative, and n within the
+    binomial row unless k > n, where the count is 0."""
     n = whole("the n of a binomial count C(n, k)", n)
     k = whole("the k of a binomial count C(n, k)", k)
     if n < 0 or k < 0:
         raise InvariantViolationError("complexions need n >= 0 and k >= 0")
-    if k > n:
-        return 0
-    refuse_past("binomial count", n)
-    return math.comb(n, k)
+    if k <= n:
+        refuse_past("binomial count", n)
+    return n, k
 
 
 def complexiones_simpliciter(n: int, include_empty: bool = False) -> int:
@@ -89,17 +94,21 @@ def complexiones_simpliciter(n: int, include_empty: bool = False) -> int:
     The count traditionally starts at the unions, so the empty sub-whole is
     excluded; pass include_empty=True for the 2^n variant.
     """
+    n = _parts_of_whole(n)
+    return 2**n if include_empty else 2**n - 1
+
+
+def _parts_of_whole(n: int) -> int:
+    """n as 2^n - 1 reads it: a whole number from 1 up to the power-of-two row."""
+    n = refuse_past("power-of-two count", n)
     if n < 1:
         raise InvalidDegreeError("a whole needs at least one part")
-    refuse_past("power-of-two count", n)
-    return 2**n if include_empty else 2**n - 1
+    return n
 
 
 def variations_of_order(n: int) -> int:
     """All rearrangements of n distinct things: n!."""
-    if n < 1:
-        raise InvalidDegreeError("variations of order need n >= 1")
-    return _factorial(n)
+    return math.factorial(_arranged(n, "variations of order", 0))
 
 
 def vicinity_variations(n: int) -> int:
@@ -110,9 +119,17 @@ def vicinity_variations(n: int) -> int:
     24/4 = 6 arithmetic of the classical four-letter example forces the
     rotation-only reading.
     """
+    return math.factorial(_arranged(n, "vicinity variations", 1) - 1)
+
+
+def _arranged(n: int, what: str, pinned: int) -> int:
+    """n as the count of ``what`` reads it: a whole number of at least 1
+    whose n - pinned free things lie within the factorial row."""
+    n = whole(f"the n of {what}", n)
     if n < 1:
-        raise InvalidDegreeError("vicinity variations need n >= 1")
-    return _factorial(n - 1)
+        raise InvalidDegreeError(f"{what} need n >= 1")
+    refuse_past("factorial count", n - pinned)
+    return n
 
 
 def canonical_vicinity(arrangement: Permutation | Sequence[int]) -> Permutation:
@@ -148,6 +165,8 @@ def problem7_product(n: int, head_size: int) -> int:
     k leaves a plain variation-of-order problem on the rest - and must always
     agree with count_caput in LOOSE mode.
     """
+    n = whole("the n of problem 7", n)
+    head_size = whole("the head size of problem 7", head_size)
     if not 0 <= head_size <= n:
         raise InvariantViolationError(f"head size {shown(head_size)} outside 0..{shown(n)}")
     return _factorial(n - head_size)
@@ -229,25 +248,35 @@ def _subsets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 # Each solvable id: its count and its witness stream, both called with
-# (n, k), and the error when k is needed but missing.  The lambdas look the
-# functions up when called, so a rebound module name is seen.
+# (n, k), and the error when k is needed but missing.  A stream reads n and
+# k as its count does, through the same reader, before it lists anything.
+# The lambdas look the functions up when called, so a rebound module name is
+# seen.
 _COMPLEXION = (
     lambda n, k: complexions(n, k),
-    lambda n, k: map(frozenset, _subsets(n, k)),
+    lambda n, k: map(frozenset, _subsets(*_binomial_sizes(n, k))),
     "complexion problems need the exponent k",
 )
 _PROBLEMS = {
     1: _COMPLEXION,
     2: _COMPLEXION,
     3: _COMPLEXION,
-    4: (lambda n, k: variations_of_order(n), lambda n, k: _images(CaputSpec(n, _HEADS[4])), None),
-    5: (lambda n, k: vicinity_variations(n), lambda n, k: _images(CaputSpec(n, _HEADS[5])), None),
+    4: (
+        lambda n, k: variations_of_order(n),
+        lambda n, k: _images(CaputSpec(_arranged(n, "variations of order", 0), _HEADS[4])),
+        None,
+    ),
+    5: (
+        lambda n, k: vicinity_variations(n),
+        lambda n, k: _images(CaputSpec(_arranged(n, "vicinity variations", 1), _HEADS[5])),
+        None,
+    ),
     7: (lambda n, k: problem7_product(n, k), None, "problem 7 needs the head size k"),
     SIMPLICITER: (
         lambda n, k: complexiones_simpliciter(n),
         # every non-empty complexion, exponent by exponent
         lambda n, k: itertools.chain.from_iterable(
-            _COMPLEXION[1](n, size) for size in range(1, n + 1)
+            map(frozenset, _subsets(n, size)) for size in range(1, _parts_of_whole(n) + 1)
         ),
         None,
     ),
@@ -279,19 +308,22 @@ def solve(
     count_of, listing, needs_k = _PROBLEMS[problem_id]
     if needs_k and k is None:
         raise InvariantViolationError(needs_k)
-    count = count_of(n, k)
     witnesses, truncated = None, False
     if with_witnesses and listing:
+        # The stream reads n and k as the count does, so a bad size or a
+        # count row refuses as it would without witnesses.
+        stream = listing(n, k)
         if whole("the witness limit", witness_limit) < 0:
             raise InvariantViolationError("the witness limit must be >= 0")
         # Streamed, cut at limit + 1: only what is kept is built, and the extra
         # item tells whether anything was cut.  The first witness is refused
-        # past its row: in problems 1-5 it is as large as any other.
-        stream = listing(n, k)
+        # past its row before the count's arithmetic: in problems 1-5 it is
+        # as large as any other.
         kept = tuple(itertools.islice(stream, 1))
         refuse_past("witness points", max(map(len, kept), default=0))
         kept += tuple(itertools.islice(stream, witness_limit))
         witnesses, truncated = kept[:witness_limit], len(kept) > witness_limit
+    count = count_of(n, k)
     return ProblemResult(problem_id, inputs, count, witnesses, truncated)
 
 

@@ -8,16 +8,19 @@ not ceilings hold at 10**5000 too: a caller's value that cannot be printed is
 described in the message instead.
 """
 import contextlib
+import inspect
 import io
 import itertools
 import math
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
+import combinatoria
 from combinatoria import caput, genealogy, oracle, partitions, perm, problems
 from combinatoria.caput import CaputSpec, HeadMode
 from combinatoria.cli import main
@@ -35,6 +38,7 @@ FACTORIAL = CEILINGS["factorial count"].limit
 DERANGEMENT = CEILINGS["derangement count"].limit
 POWER_OF_TWO = CEILINGS["power-of-two count"].limit
 BINOMIAL = CEILINGS["binomial count"].limit
+SIMPLICITER = problems.SIMPLICITER
 DEGREE = CEILINGS["permutation degree"].limit
 
 # (guard, ceiling, the name of what still works past it)
@@ -210,6 +214,45 @@ def test_witnesses_past_the_row_are_refused(name):
         problems.solve(problem_id, n, k, with_witnesses=True)
     assert str(WITNESS_POINTS) in str(refused.value)
     assert "problems solve without witnesses" in str(refused.value)
+
+
+# (problem id, n, k, the count solve calls by name): the first witness holds
+# k points in problem 1 and n points in problems 4 and 5
+REFUSED_BEFORE_THE_COUNT = {
+    "problem 1": (1, BINOMIAL, BINOMIAL // 2, "complexions"),
+    "problem 4": (4, WITNESS_POINTS + 1, None, "variations_of_order"),
+    "problem 5": (5, WITNESS_POINTS + 1, None, "vicinity_variations"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_BEFORE_THE_COUNT)
+def test_witnesses_past_the_row_are_refused_before_the_count(name, monkeypatch):
+    # C(300000, 150000) alone takes most of a CPU second
+    problem_id, n, k, count = REFUSED_BEFORE_THE_COUNT[name]
+
+    def uncounted(*sizes):
+        raise AssertionError(f"{count}{sizes} was computed")
+
+    monkeypatch.setattr(problems, count, uncounted)
+    with pytest.raises(EnumerationTooLargeError, match="problems solve without witnesses"):
+        problems.solve(problem_id, n, k, with_witnesses=True)
+
+
+@pytest.mark.parametrize(
+    "problem_id, n, k, row",
+    [
+        (1, BINOMIAL + 1, BINOMIAL // 2, "binomial count"),
+        (4, FACTORIAL + 1, None, "factorial count"),
+        (5, FACTORIAL + 2, None, "factorial count"),
+        (SIMPLICITER, POWER_OF_TWO + 1, None, "power-of-two count"),
+    ],
+)
+def test_a_count_row_refuses_witnesses_as_it_refuses_the_count(problem_id, n, k, row):
+    # refused by both the count's row and the witness row: the count's message
+    for with_witnesses in (False, True):
+        with pytest.raises(EnumerationTooLargeError) as refused:
+            problems.solve(problem_id, n, k, with_witnesses=with_witnesses)
+        assert str(refused.value).startswith(CEILINGS[row].request)
 
 
 def test_witnesses_at_the_row_are_listed():
@@ -396,6 +439,34 @@ NOT_WHOLE = {
     "verify_all text": lambda: oracle.verify_all("2"),
     "count_caput": lambda: caput.count_caput(CaputSpec(3.5)),
     "CaputSpec": lambda: CaputSpec(2.5),
+    # sizes given as text: each is read before its first comparison
+    "personae_count text": lambda: genealogy.personae_count("3"),
+    "coordinates text": lambda: genealogy.coordinates("3"),
+    "enumerate_partitions text": lambda: partitions.enumerate_partitions("3"),
+    "cycle_types_of text": lambda: partitions.cycle_types_of("3"),
+    "identity text": lambda: perm.identity("3"),
+    "derangements text": lambda: caput.derangements("3"),
+    "derangements_by_inclusion_exclusion text": (
+        lambda: caput.derangements_by_inclusion_exclusion("3")
+    ),
+    "complexiones_simpliciter text": lambda: problems.complexiones_simpliciter("3"),
+    "variations_of_order text": lambda: problems.variations_of_order("3"),
+    "vicinity_variations text": lambda: problems.vicinity_variations("3"),
+    "problem7_product n text": lambda: problems.problem7_product("3", 1),
+    "problem7_product head size text": lambda: problems.problem7_product(3, "1"),
+    "solve text": lambda: problems.solve(4, "3"),
+    "solve with witnesses text": lambda: problems.solve(4, "3", with_witnesses=True),
+    "reduce_to_caput text": lambda: problems.reduce_to_caput(4, "3"),
+    "enumerate_sn text": lambda: list(oracle.enumerate_sn("3")),
+    "cycle_type_census text": lambda: oracle.cycle_type_census("3"),
+    "rotation_class_census text": lambda: oracle.rotation_class_census("3"),
+    "count_caput_by_filter text": (
+        lambda: oracle.count_caput_by_filter("3", frozenset(), HeadMode.LOOSE)
+    ),
+    "count_derangements_by_filter text": lambda: oracle.count_derangements_by_filter("3"),
+    "count_partitions_by_enumeration text": (
+        lambda: oracle.count_partitions_by_enumeration("3")
+    ),
 }
 
 
@@ -406,6 +477,66 @@ def test_a_size_that_is_not_a_whole_number_is_refused_by_name(name):
     refused = r"must be a whole number, got (\d\.\d|'\d')$"
     with pytest.raises(InvariantViolationError, match=refused):
         NOT_WHOLE[name]()
+
+
+# Every public parameter under one of these names is a size.
+SIZE_NAMES = ("n", "m", "k", "gradus", "degree", "max_n", "head_size")
+
+# A valid value for each argument a size check needs beside the size tried.
+VALID_ARGUMENTS = {
+    "n": 3, "m": 3, "k": 2, "gradus": 2, "degree": 3, "max_n": 1, "head_size": 1,
+    "problem_id": 4,
+    "alpha": (1, 1, 0),
+    "cycles": [(1, 2)],
+    "text": "(12)(3)",
+    "head": frozenset(),
+    "mode": HeadMode.LOOSE,
+}
+
+# (function, size parameter) never read as a whole number, and why
+SIZE_EXEMPTIONS = {
+    ("ClassOrder", "degree"): "a plain dataclass that checks only its order",
+    ("solve", "k"): "problem 4 takes no k, so solve echoes it, as it echoes n for reserved ids",
+    ("reduce_to_caput", "k"): "it solves first, and solve echoes the k problem 4 takes none of",
+}
+
+
+def _size_parameters():
+    seen = set()
+    for module in (combinatoria, oracle):
+        for name in module.__all__:
+            function = getattr(module, name)
+            if not callable(function) or (
+                isinstance(function, type) and issubclass(function, BaseException)
+            ):
+                continue
+            if function in seen:  # verify_all is public in both
+                continue
+            seen.add(function)
+            parameters = inspect.signature(function).parameters
+            for size in SIZE_NAMES:
+                if size in parameters and (name, size) not in SIZE_EXEMPTIONS:
+                    yield pytest.param(function, parameters, size, id=f"{name}.{size}")
+
+
+@pytest.mark.parametrize("bad", ["3", 2.5])
+@pytest.mark.parametrize("function, parameters, size", _size_parameters())
+def test_every_size_parameter_is_read_as_a_whole_number(function, parameters, size, bad):
+    arguments = {
+        name: bad if name == size else VALID_ARGUMENTS[name]
+        for name, parameter in parameters.items()
+        if name == size or parameter.default is inspect.Parameter.empty or name in SIZE_NAMES
+    }
+    with pytest.raises(InvariantViolationError, match="must be a whole number"):
+        result = function(**arguments)
+        if isinstance(result, Iterator):
+            list(result)
+
+
+def test_the_size_exemptions_name_real_parameters():
+    for name, size in SIZE_EXEMPTIONS:
+        function = getattr(combinatoria, name)
+        assert size in inspect.signature(function).parameters
 
 
 def test_whole_number_message_names_the_request():

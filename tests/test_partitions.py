@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import tracemalloc
@@ -271,3 +272,24 @@ class TestListingAgainstSecondRoute:
         assert str(CycleType.from_cycle_lengths(12, [12])) == "α₁₂=1"
         assert str(CycleType.from_cycle_lengths(23, [10, 10, 2, 1])) == "α₁=1 α₂=1 α₁₀=2"
         assert CycleType.from_cycle_lengths(23, [1, 10, 2, 10]).cycle_lengths() == (10, 10, 2, 1)
+
+    def test_listing_alphas_equal_counts_of_the_partitions_parts(self):
+        # the alphas are counted here off each partition's own parts, in the
+        # listing's order; n = 1 and n = 2 have no part size above 2 to step
+        for n in range(1, 41):
+            counted = []
+            for p in enumerate_partitions(n):
+                alpha = [0] * n
+                for part in p.parts:
+                    alpha[part - 1] += 1
+                counted.append(tuple(alpha))
+            assert [t.alpha for t in cycle_types_of(n)] == counted, n
+
+    def test_class_orders_of_interleaved_degrees(self):
+        # n! is kept for the last degree asked: a class of degree 7 between
+        # two of degree 5 must not be sized with 5!, nor the next 5 with 7!
+        fives, sevens = cycle_types_of(5), cycle_types_of(7)
+        interleaved = [t for pair in itertools.zip_longest(fives, sevens) for t in pair if t]
+        assert len(interleaved) == len(fives) + len(sevens)
+        for t in interleaved:
+            assert class_order(t).order == _order_over_every_length(t)
