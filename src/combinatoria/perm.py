@@ -21,6 +21,15 @@ by a walk of partitions of n in count-vector form, and
 partition.  Every trusted builder is a module-level name starting with
 ``_trusted``.
 
+The parsers check text in C-level passes (``map``, ``min``/``max``,
+``chain``) rather than a Python loop per point.  ``parse_one_line`` reads
+the comma-split items with ``int`` as they stand, and runs its strip pass,
+which drops empty items and strips U+001C..U+001F as ``int`` does not, only
+for text ``int`` refuses; either way the image is checked once, by
+``Permutation``.
+``from_cycles`` range-checks every point with one ``min`` and one ``max``
+and walks the points in order only to name the first outside 1..n.
+
 The cycle readers ``cycle_decomposition``, ``cycle_type`` and
 ``format_cycles`` read one private walk of the image, ``_cycles``, and still
 build through the validating constructors: ``Cycle`` for the first and the
@@ -33,7 +42,7 @@ reached.
 from __future__ import annotations
 
 import operator
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
@@ -164,11 +173,14 @@ class Cycle(Value):
             raise InvariantViolationError("a cycle needs at least one point")
         if len(set(pts)) != len(pts):
             raise InvariantViolationError(f"cycle {shown(pts)} repeats a point")
-        if min(pts) <= 0:
+        least = min(pts)
+        if least <= 0:
             raise InvariantViolationError(f"cycle {shown(pts)} contains a non-positive point")
-        # canonical rotation: smallest point first
-        k = pts.index(min(pts))
-        _set_points(self, pts[k:] + pts[:k])
+        if pts[0] != least:
+            # canonical rotation: smallest point first
+            k = pts.index(least)
+            pts = pts[k:] + pts[:k]
+        _set_points(self, pts)
 
     @property
     def length(self) -> int:
@@ -178,8 +190,8 @@ class Cycle(Value):
         if max(self.points) > 9:
             # a lone point keeps a trailing comma: "(13)" reads as 1 and 3
             lone = "," if len(self.points) == 1 else ""
-            return "(" + ",".join(str(x) for x in self.points) + lone + ")"
-        return "(" + "".join(str(x) for x in self.points) + ")"
+            return "(" + ",".join(map(str, self.points)) + lone + ")"
+        return "(" + "".join(map(str, self.points)) + ")"
 
 
 class CycleType(Value):
@@ -371,7 +383,7 @@ def from_cycles(
     refused before the image is built.
     """
     cycle_list = [c.points if isinstance(c, Cycle) else tuple(c) for c in cycles]
-    mentioned = [x for c in cycle_list for x in c]
+    mentioned = list(chain.from_iterable(cycle_list))
     if not mentioned and degree is None:
         raise InvalidDegreeError("cannot infer a degree from an empty cycle list")
     if len(set(mentioned)) != len(mentioned):
@@ -380,13 +392,18 @@ def from_cycles(
     refuse_past("cycle degree", n)
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    image = list(range(1, n + 1))
-    for pts in cycle_list:
-        for x in pts:
+    if mentioned and not (1 <= min(mentioned) and max(mentioned) <= n):
+        # name the first point listed outside 1..n, not the least
+        for x in mentioned:
             if not 1 <= x <= n:
                 raise InvariantViolationError(f"point {shown(x)} outside 1..{n}")
-        for i, x in enumerate(pts):
-            image[x - 1] = pts[(i + 1) % len(pts)]
+    image = list(range(1, n + 1))
+    for pts in filter(None, cycle_list):
+        # each point goes to the next; the walk starts at the last, which goes to the first
+        x = pts[-1]
+        for y in pts:
+            image[x - 1] = y
+            x = y
     # disjoint cycles of points in 1..n, every other point fixed: a bijection
     return _trusted(tuple(image))
 
@@ -395,7 +412,7 @@ def from_cycles(
 
 def format_one_line(p: Permutation) -> str:
     """Bit-stable one-line form, e.g. ``[1,4,3,6,5,2]``."""
-    return "[" + ",".join(str(x) for x in p.image) + "]"
+    return "[" + ",".join(map(str, p.image)) + "]"
 
 
 def format_cycles(p: Permutation) -> str:
@@ -418,14 +435,19 @@ def parse_one_line(text: str) -> Permutation:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvariantViolationError(f"one-line form must look like [1,2,3]: {text!r}")
-    # int() strips less than str.strip (not U+001C..U+001F), so strip here
-    items = [s for s in map(str.strip, body[1:-1].split(",")) if s]
-    if not items:
-        raise InvalidDegreeError("empty one-line form has no degree")
+    items = body[1:-1].split(",")
     try:
         image = tuple(map(int, items))
     except ValueError:
-        raise InvariantViolationError(f"non-integer point in {text!r}") from None
+        # int() refuses empty items and strips less than str.strip (not
+        # U+001C..U+001F): strip, skip empty items, and read again
+        items = [s for s in map(str.strip, items) if s]
+        if not items:
+            raise InvalidDegreeError("empty one-line form has no degree") from None
+        try:
+            image = tuple(map(int, items))
+        except ValueError:
+            raise InvariantViolationError(f"non-integer point in {text!r}") from None
     return Permutation(image)
 
 
@@ -450,11 +472,11 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
             raise InvariantViolationError(f"empty cycle in {text!r}")
         if "," in chunk or " " in chunk:
             try:
-                pts = tuple(int(s) for s in chunk.replace(",", " ").split())
+                pts = tuple(map(int, chunk.replace(",", " ").split()))
             except ValueError:
                 raise InvariantViolationError(f"non-integer point in {text!r}") from None
         elif chunk.isdecimal():
-            pts = tuple(int(ch) for ch in chunk)
+            pts = tuple(map(int, chunk))
         else:
             raise InvariantViolationError(f"unreadable cycle {chunk!r} in {text!r}")
         cycles.append(pts)

@@ -299,7 +299,8 @@ def solve(
         raise InvariantViolationError(
             f"unknown problem id {shown(problem_id)}; use 1..12 or {SIMPLICITER!r}"
         )
-    inputs = {"n": n} if k is None else {"n": n, "k": k}
+    # read here: k is echoed even by the problems whose counts never read it
+    inputs = {"n": n} if k is None else {"n": n, "k": whole(f"the k of problem {problem_id}", k)}
     if problem_id == 10:
         # containment is a predicate, not a count: see caput.is_caput_of
         return ProblemResult(problem_id, inputs, count=None, status="not-a-counting-problem")

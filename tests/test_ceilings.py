@@ -496,8 +496,6 @@ VALID_ARGUMENTS = {
 # (function, size parameter) never read as a whole number, and why
 SIZE_EXEMPTIONS = {
     ("ClassOrder", "degree"): "a plain dataclass that checks only its order",
-    ("solve", "k"): "problem 4 takes no k, so solve echoes it, as it echoes n for reserved ids",
-    ("reduce_to_caput", "k"): "it solves first, and solve echoes the k problem 4 takes none of",
 }
 
 

@@ -166,6 +166,18 @@ class TestCycles:
         with pytest.raises(InvariantViolationError):
             from_cycles([(1, 2), (2, 3)])
 
+    @pytest.mark.parametrize(
+        "cycles, degree, message",
+        [([(9, 1), (0, 2)], 5, "point 9 outside 1..5"),
+         ([(1, 2), (3, 0)], 4, "point 0 outside 1..4"),
+         ([Cycle((2, 7))], 6, "point 7 outside 1..6")],
+    )
+    def test_from_cycles_names_the_first_listed_point_outside_the_degree(
+        self, cycles, degree, message
+    ):
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            from_cycles(cycles, degree=degree)
+
     def test_from_cycles_refuses_degree_zero_before_reading_points(self):
         with pytest.raises(InvalidDegreeError, match="^degree 0 is not admitted"):
             from_cycles([(1, 2)], degree=0)
@@ -314,7 +326,8 @@ class TestTextFormats:
             parse_permutation(bad)
 
     @pytest.mark.parametrize(
-        "text", ["[ 2 ,\t1 ]", "[2,,1]", "[2,1,]", " [\t2, 1] ", "[\x1c2,1\x1f]"]
+        "text",
+        ["[ 2 ,\t1 ]", "[2,,1]", "[2,1,]", " [\t2, 1] ", "[\x1c2,1\x1f]", "[٢,١]", "[+2,1]"],
     )
     def test_one_line_items_are_stripped_and_empty_items_skipped(self, text):
         assert parse_one_line(text).image == (2, 1)
@@ -322,7 +335,7 @@ class TestTextFormats:
     @pytest.mark.parametrize(
         "text, error",
         [("[2, 1.0]", "non-integer point"), ("[2, 1 3]", "non-integer point"),
-         ("[ , \t]", "no degree")],
+         ("[ , \t]", "no degree"), ("[²,1]", "non-integer point")],
     )
     def test_one_line_item_that_is_no_integer_is_refused(self, text, error):
         with pytest.raises((InvariantViolationError, InvalidDegreeError), match=error):
@@ -354,6 +367,16 @@ class TestProperties:
     def test_parse_format_round_trip(self, p):
         assert parse_one_line(format_one_line(p)) == p
         assert parse_cycles(format_cycles(p)) == p
+
+    @given(st.integers(min_value=10, max_value=60).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))
+    ).map(lambda seq: Permutation(tuple(seq))))
+    def test_cycle_text_round_trip_past_degree_nine(self, p):
+        comma = format_cycles(p)
+        # points spaced apart; a lone point above 9 keeps its comma, "(13,)"
+        space = comma.replace(",", " ").replace(" )", ",)")
+        assert parse_cycles(comma) == p
+        assert parse_cycles(space) == p
 
     @given(perms)
     def test_inverse_involution(self, p):
