@@ -21,14 +21,14 @@ by a walk of partitions of n in count-vector form, and
 partition.  Every trusted builder is a module-level name starting with
 ``_trusted``.
 
-The parsers check text in C-level passes (``map``, ``min``/``max``,
-``chain``) rather than a Python loop per point.  ``parse_one_line`` reads
-the comma-split items with ``int`` as they stand, and runs its strip pass,
-which drops empty items and strips U+001C..U+001F as ``int`` does not, only
-for text ``int`` refuses; either way the image is checked once, by
-``Permutation``.
-``from_cycles`` range-checks every point with one ``min`` and one ``max``
-and walks the points in order only to name the first outside 1..n.
+The parsers check text in C-level passes (``map``, ``filter``, ``chain``)
+rather than a Python loop per point.  ``parse_one_line`` strips each
+comma-split item, U+001C..U+001F included as ``int`` would not, drops the
+empty ones and reads the rest with ``int`` in one pass; the image is then
+checked once, by ``Permutation``.  ``from_cycles`` range-checks every point
+by one set difference against 1..n, which needs no ordering, so a NaN is
+caught too, and walks the points in order only to name the first outside
+1..n.
 
 The cycle readers ``cycle_decomposition``, ``cycle_type`` and
 ``format_cycles`` read one private walk of the image, ``_cycles``, and still
@@ -386,13 +386,14 @@ def from_cycles(
     mentioned = list(chain.from_iterable(cycle_list))
     if not mentioned and degree is None:
         raise InvalidDegreeError("cannot infer a degree from an empty cycle list")
-    if len(set(mentioned)) != len(mentioned):
+    points = set(mentioned)
+    if len(points) != len(mentioned):
         raise InvariantViolationError("cycles are not disjoint")
     n = degree if degree is not None else max(mentioned)
     refuse_past("cycle degree", n)
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    if mentioned and not (1 <= min(mentioned) and max(mentioned) <= n):
+    if points.difference(range(1, n + 1)):
         # name the first point listed outside 1..n, not the least
         for x in mentioned:
             if not 1 <= x <= n:
@@ -435,19 +436,14 @@ def parse_one_line(text: str) -> Permutation:
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvariantViolationError(f"one-line form must look like [1,2,3]: {text!r}")
-    items = body[1:-1].split(",")
+    # int() strips less than str.strip (not U+001C..U+001F), so strip here
+    items = list(filter(None, map(str.strip, body[1:-1].split(","))))
+    if not items:
+        raise InvalidDegreeError("empty one-line form has no degree")
     try:
         image = tuple(map(int, items))
     except ValueError:
-        # int() refuses empty items and strips less than str.strip (not
-        # U+001C..U+001F): strip, skip empty items, and read again
-        items = [s for s in map(str.strip, items) if s]
-        if not items:
-            raise InvalidDegreeError("empty one-line form has no degree") from None
-        try:
-            image = tuple(map(int, items))
-        except ValueError:
-            raise InvariantViolationError(f"non-integer point in {text!r}") from None
+        raise InvariantViolationError(f"non-integer point in {text!r}") from None
     return Permutation(image)
 
 

@@ -299,8 +299,7 @@ def solve(
         raise InvariantViolationError(
             f"unknown problem id {shown(problem_id)}; use 1..12 or {SIMPLICITER!r}"
         )
-    # read here: k is echoed even by the problems whose counts never read it
-    inputs = {"n": n} if k is None else {"n": n, "k": whole(f"the k of problem {problem_id}", k)}
+    inputs = {"n": n} if k is None else {"n": n, "k": k}
     if problem_id == 10:
         # containment is a predicate, not a count: see caput.is_caput_of
         return ProblemResult(problem_id, inputs, count=None, status="not-a-counting-problem")
@@ -309,6 +308,9 @@ def solve(
     count_of, listing, needs_k = _PROBLEMS[problem_id]
     if needs_k and k is None:
         raise InvariantViolationError(needs_k)
+    if not needs_k and k is not None:
+        # this count never reads k, which solve echoes: read it here
+        inputs["k"] = whole(f"the k of problem {problem_id}", k)
     witnesses, truncated = None, False
     if with_witnesses and listing:
         # The stream reads n and k as the count does, so a bad size or a

@@ -170,7 +170,8 @@ class TestCycles:
         "cycles, degree, message",
         [([(9, 1), (0, 2)], 5, "point 9 outside 1..5"),
          ([(1, 2), (3, 0)], 4, "point 0 outside 1..4"),
-         ([Cycle((2, 7))], 6, "point 7 outside 1..6")],
+         ([Cycle((2, 7))], 6, "point 7 outside 1..6"),
+         ([(2, float("nan"))], None, "point nan outside 1..2")],
     )
     def test_from_cycles_names_the_first_listed_point_outside_the_degree(
         self, cycles, degree, message
