@@ -35,6 +35,7 @@ from .errors import (
     refuse_past,
     shown,
     whole,
+    wholes,
 )
 from .perm import Permutation, _trusted_all, point_to_symbol, symbol_to_point
 
@@ -63,7 +64,9 @@ class CaputSpec(Value):
     """A head: positions of the reference arrangement held fixed, plus a mode.
 
     Degenerate heads are legitimate: EXACT with |head| = n is satisfied by the
-    identity alone, EXACT with |head| = n-1 by nothing at all.
+    identity alone, EXACT with |head| = n-1 by nothing at all.  The mode may
+    come as its text, ``"exact"`` for EXACT; positions are read as whole
+    numbers, so ``2.0`` is refused, not taken for 2.
     """
 
     __slots__ = ("degree", "head", "mode")
@@ -72,17 +75,32 @@ class CaputSpec(Value):
     mode: HeadMode
 
     def __init__(
-        self, degree: int, head: frozenset[int] = frozenset(), mode: HeadMode = HeadMode.LOOSE
+        self,
+        degree: int,
+        head: frozenset[int] = frozenset(),
+        mode: HeadMode | str = HeadMode.LOOSE,
     ) -> None:
         degree = whole("the degree of a head", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        head = frozenset(head)
+        try:
+            # a frozenset of ints, the common case, is taken as it is
+            ints = type(head) is frozenset and type(sum(head)) is int
+        except TypeError:  # a position that does not add, such as text
+            ints = False
+        if not ints:
+            head = frozenset(wholes("the positions of a head", head))
         bad = [i for i in head if not 1 <= i <= degree]
         if bad:
             raise InvariantViolationError(
                 f"head positions {shown(sorted(bad))} outside 1..{shown(degree)}"
             )
+        try:
+            mode = HeadMode(mode)
+        except ValueError:
+            raise InvariantViolationError(
+                f"a head's mode must be loose, exact or setwise, got {shown(mode)}"
+            ) from None
         self._fill(degree, head, mode)
 
     @property
@@ -214,14 +232,17 @@ def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
     from ``itertools.permutations`` blocks, lex-sorted by construction, and
     its memory stays O(n) plus one batch of built permutations and, for
     SETWISE, one table of at most 720 patterns and the images of one tail,
-    however long it runs:
+    however long it runs; EXACT also reads one table shared by every
+    listing, of at most 127 keep masks:
 
     - LOOSE: one block, the arrangements of the free values, each placed
       among the pinned head values;
     - EXACT: the same, but the free positions before the last few draw
       their values in turn through ``_distinct``, each skipping its own
-      value; the last few form a block filtered for fixed points, so the
-      stream never stalls on a run of rejects;
+      value; the last few form a block whose arrangements with a fixed
+      point ``itertools.compress`` drops in C, through a mask looked up by
+      which of the block's own values are left, so the stream never stalls
+      on a run of rejects;
     - SETWISE: the positions before the last few draw their values in turn
       through ``_distinct``, each from its class (head or free); the last
       few read every arrangement of what is left off one table built per
@@ -243,8 +264,9 @@ def _images(spec: CaputSpec) -> Iterator[tuple[int, ...]]:
 # class has as many values as positions, and an EXACT lead position finds at
 # least _TAIL + 1 free values left, one of them its own.  So a lead step
 # rejects at most cut values, the ones its prefix holds.  EXACT drops the
-# arrangements of its block with a fixed point; a block of k >= 2 positions
-# keeps at least one, so fewer than 2 * k! rejects come between two items.
+# arrangements of its block with a fixed point through a keep mask from
+# _KEEP, so its rejects are skipped in C, and a block of k >= 2 positions
+# keeps at least one.
 # SETWISE reads its block off a table of at most _TAIL! patterns; over the
 # benchmark's SETWISE heads a tail of 6 lists faster than one of 5.
 _TAIL = 6
@@ -267,14 +289,43 @@ def _stream(n: int, head: frozenset[int], mode: HeadMode) -> Iterator[Iterable[t
     pinned = tuple(sorted(head))
     # the value of position i sits at order[i - 1] in pinned + free values
     order = sorted(range(n), key=(pinned + free).__getitem__)
-    place = tuple if order == sorted(order) else operator.itemgetter(*order)
+    place = None if order == sorted(order) else operator.itemgetter(*order)
     cut = max(len(free) - _TAIL, 0) if mode is HeadMode.EXACT else 0
     avoid = free[cut:]
     for prefix in _distinct([[v for v in free if v != pos] for pos in free[:cut]]):
-        rests = itertools.permutations([v for v in free if v not in prefix])
+        left = [v for v in free if v not in prefix]
+        rests = itertools.permutations(left)
         if mode is HeadMode.EXACT:
-            rests = itertools.filterfalse(lambda c: any(map(operator.eq, c, avoid)), rests)
-        yield map(place, map((pinned + prefix).__add__, rests))
+            own = tuple([left.index(v) if v in left else -1 for v in avoid])
+            rests = itertools.compress(rests, _KEEP[own])
+        lead = pinned + prefix
+        if lead:
+            rests = map(lead.__add__, rests)
+        yield rests if place is None else map(place, rests)
+
+
+class _Keep(dict):
+    """``own`` -> which arrangements of a tail block keep no value at home.
+
+    ``own[j]`` is the index of tail position j's own value among the sorted
+    values left for the tail, or -1 when the lead took it; flag i of the
+    mask is set when the i-th of ``itertools.permutations`` of those values
+    puts none of them at home.  The tail's own values are the largest free
+    ones, so those still left sit at the top of the values left, in order,
+    and ``own`` is fixed by which of them are left: at most 2^w masks of w!
+    flags for a tail of w positions, 127 masks up to ``_TAIL``, built the
+    first time each is asked for and shared by every listing.
+    """
+
+    def __missing__(self, own: tuple[int, ...]) -> bytes:
+        keep = self[own] = bytes(
+            all(map(operator.ne, arrangement, own))
+            for arrangement in itertools.permutations(range(len(own)))
+        )
+        return keep
+
+
+_KEEP = _Keep()
 
 
 def _distinct(pools: Sequence[Sequence[int]]) -> Iterable[tuple[int, ...]]:

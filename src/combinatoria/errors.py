@@ -122,6 +122,23 @@ def whole(what: str, size: object) -> int:
         raise InvariantViolationError(f"{what} must be a whole number, got {shown(size)}") from None
 
 
+def wholes(what: str, values: object) -> tuple[int, ...]:
+    """The values as a tuple of ints, each read as ``whole`` reads one; the
+    first that is not a whole number, or values that are no collection, are
+    refused by name.  Values that are all ints run no Python code per value."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvariantViolationError(
+            f"{what} must be a collection of whole numbers, got {shown(values)}"
+        ) from None
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        # whole raises at the first value that operator.index refused
+        return tuple([whole(f"each of {what}", value) for value in values])
+
+
 def refuse_past(row: str, size: object) -> int:
     """The size as an int, refused if it is not a whole number or lies past
     the row's ceiling; the ceiling's message never renders the size."""

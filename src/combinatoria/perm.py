@@ -54,6 +54,7 @@ from .errors import (
     refuse_past,
     shown,
     whole,
+    wholes,
 )
 
 __all__ = [
@@ -210,11 +211,18 @@ class CycleType(Value):
         degree = whole("the degree of a cycle type", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+        try:
+            weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
+        except TypeError:
+            weighted = None
+        if type(weighted) is not int:
+            # some count is no int: read each as a whole number, or refuse it
+            alpha = wholes("the counts of a cycle type", alpha)
+            weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
         if len(alpha) != degree or min(alpha) < 0:
             raise InvariantViolationError(
                 f"alpha must be {shown(degree)} non-negative counts, got {shown(alpha)}"
             )
-        weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
         if weighted != degree:
             raise InvariantViolationError(
                 f"sum of i*alpha_i is {shown(weighted)}, expected the degree {degree}"
@@ -225,7 +233,7 @@ class CycleType(Value):
     @classmethod
     def from_cycle_lengths(cls, degree: int, lengths: Iterable[int]) -> "CycleType":
         refuse_past("permutation degree", degree)
-        lengths = tuple(lengths)
+        lengths = wholes("the cycle lengths", lengths)
         for length in lengths:
             if not 1 <= length <= degree:
                 raise InvariantViolationError(

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 import types
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from combinatoria import caput
 from combinatoria.caput import (
     CaputSpec,
     HeadMode,
@@ -89,6 +92,39 @@ class TestSpec:
     def test_head_contents_echo(self):
         spec = CaputSpec.parse_head(4, "1=a,3=c")
         assert spec.head_contents() == {1: "a", 3: "c"}
+
+    def test_mode_given_as_text_is_the_mode(self):
+        spec = CaputSpec(3, frozenset(), "exact")
+        assert spec.mode is HeadMode.EXACT
+        assert spec == CaputSpec(3, frozenset(), HeadMode.EXACT)
+        images = [p.image for p in enumerate_caput(spec)]
+        assert images == [(2, 3, 1), (3, 1, 2)]
+        assert count_caput(spec) == len(images) == 2
+
+    @pytest.mark.parametrize("mode", ["bogus", "EXACT", 3, None])
+    def test_unknown_mode_is_refused_naming_the_modes(self, mode):
+        with pytest.raises(InvariantViolationError, match="loose, exact or setwise"):
+            CaputSpec(3, frozenset(), mode)
+
+    def test_fractional_position_is_refused(self):
+        with pytest.raises(InvariantViolationError, match="positions of a head.*1.5"):
+            CaputSpec(3, frozenset({1.5}))
+
+    def test_float_position_is_not_taken_for_a_whole_one(self):
+        with pytest.raises(InvariantViolationError, match="positions of a head.*2.0"):
+            CaputSpec(4, frozenset({2.0}), HeadMode.EXACT)
+
+    def test_text_position_is_refused(self):
+        with pytest.raises(InvariantViolationError, match="positions of a head.*'1'"):
+            CaputSpec(3, frozenset({"1"}))
+
+    def test_head_that_is_no_collection_is_refused(self):
+        with pytest.raises(InvariantViolationError, match="collection of whole numbers, got 5"):
+            CaputSpec(3, 5)
+
+    def test_first_bad_position_is_named(self):
+        with pytest.raises(InvariantViolationError, match="got 2.5$"):
+            CaputSpec(5, (1, 2.5, "x"))
 
 
 class TestCount:
@@ -319,6 +355,58 @@ class TestEnumerate:
             for head in (frozenset(), frozenset({2}), frozenset({1, 3})):
                 stream = enumerate_caput(CaputSpec(degree=4, head=head, mode=mode))
                 assert isinstance(stream, types.GeneratorType)
+
+
+class TestExactKeepMasks:
+    """EXACT drops the arrangements of its tail block with a fixed point
+    through keep masks shared by every listing (``caput._KEEP``)."""
+
+    def test_every_exact_head_of_s8_is_a_raw_filter(self):
+        # one pass over S_8 sorts each image under its set of fixed points,
+        # which is the one head whose EXACT listing holds it; the 256 heads
+        # reach every keep mask a degree of 8 can ask for
+        by_fixed = collections.defaultdict(list)
+        for image in all_perms(8):
+            by_fixed[frozenset(naive_fixed_points(image))].append(image)
+        for k in range(9):
+            for head in map(frozenset, itertools.combinations(range(1, 9), k)):
+                spec = CaputSpec(degree=8, head=head, mode=HeadMode.EXACT)
+                assert list(caput._images(spec)) == by_fixed.get(head, []), head
+
+    def test_exact_listing_runs_no_python_call_per_candidate(self):
+        spec = CaputSpec(degree=8, mode=HeadMode.EXACT)
+        collections.deque(caput._images(spec), maxlen=0)  # warm the table
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            images = list(caput._images(spec))
+        finally:
+            sys.setprofile(None)
+        assert len(images) == derangements(8) == 14_833
+        # a Python filter would make one call per candidate, about 31,000
+        assert calls < 1_000
+
+    def test_the_table_holds_at_most_two_to_the_w_masks_per_width(self):
+        for n in range(1, 10):
+            for k in range(n + 1):
+                for head in itertools.combinations(range(1, n + 1), k):
+                    spec = CaputSpec(degree=n, head=frozenset(head), mode=HeadMode.EXACT)
+                    collections.deque(caput._images(spec), maxlen=0)
+        widths = collections.Counter(map(len, caput._KEEP))
+        assert max(widths) <= caput._TAIL
+        for w, masks in widths.items():
+            assert masks <= 2**w, w
+        assert all(len(keep) == math.factorial(len(own)) for own, keep in caput._KEEP.items())
+        held = len(caput._KEEP)
+        spec = CaputSpec(degree=9, head=frozenset({4}), mode=HeadMode.EXACT)
+        collections.deque(caput._images(spec), maxlen=0)
+        assert len(caput._KEEP) == held
 
 
 class TestDerangements:

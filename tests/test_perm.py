@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -265,6 +266,32 @@ class TestCycleType:
     def test_malformed_cycle_type_rejected(self):
         with pytest.raises(InvariantViolationError):
             CycleType(3, (1, 0, 1))  # weighs 1 + 3 = 4, not 3
+
+    @pytest.mark.parametrize(
+        "degree,alpha,bad",
+        [
+            (3, (3.0, 0, 0), "3.0"),
+            (2, (True, 0.5), "0.5"),
+            (2, (0, Fraction(1)), "Fraction"),
+            (3, ("a", 0, 0), "'a'"),
+        ],
+    )
+    def test_counts_that_are_not_whole_are_refused(self, degree, alpha, bad):
+        with pytest.raises(InvariantViolationError, match=f"counts of a cycle type.*{bad}"):
+            CycleType(degree, alpha)
+
+    def test_int_like_counts_are_read_as_ints(self):
+        class One:
+            def __index__(self):
+                return 1
+
+        t = CycleType(3, (One(), One(), 0))
+        assert t.alpha == (1, 1, 0) and all(type(a) is int for a in t.alpha)
+        assert str(t) == "α₁=1 α₂=1"
+
+    def test_cycle_lengths_that_are_not_whole_are_refused(self):
+        with pytest.raises(InvariantViolationError, match="cycle lengths.*1.0"):
+            CycleType.from_cycle_lengths(3, (1.0, 2))
 
     def test_sparse_rendering(self):
         p = parse_one_line("[1,4,3,6,5,2]")
