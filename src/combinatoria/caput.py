@@ -83,13 +83,7 @@ class CaputSpec(Value):
         degree = whole("the degree of a head", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        try:
-            # a frozenset of ints, the common case, is taken as it is
-            ints = type(head) is frozenset and type(sum(head)) is int
-        except TypeError:  # a position that does not add, such as text
-            ints = False
-        if not ints:
-            head = frozenset(wholes("the positions of a head", head))
+        head = frozenset(wholes("the positions of a head", head))
         bad = [i for i in head if not 1 <= i <= degree]
         if bad:
             raise InvariantViolationError(

@@ -114,6 +114,14 @@ class TestSpec:
         with pytest.raises(InvariantViolationError, match="positions of a head.*2.0"):
             CaputSpec(4, frozenset({2.0}), HeadMode.EXACT)
 
+    def test_bool_position_reads_as_its_plain_int(self):
+        spec = CaputSpec(3, frozenset({True}))
+        assert spec == CaputSpec(3, (True,)) == CaputSpec(3, frozenset({1}))
+        assert all(type(i) is int for i in spec.head)
+        images = [p.image for p in enumerate_caput(spec)]
+        assert images == [(1, 2, 3), (1, 3, 2)]
+        assert all(type(i) is int for image in images for i in image)
+
     def test_text_position_is_refused(self):
         with pytest.raises(InvariantViolationError, match="positions of a head.*'1'"):
             CaputSpec(3, frozenset({"1"}))
