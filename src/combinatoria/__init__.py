@@ -41,7 +41,6 @@ from .partitions import (
     Partition,
     class_order,
     count_partitions,
-    cycle_type_to_partition,
     cycle_types_of,
     enumerate_partitions,
     partition_to_cycle_type,
@@ -117,7 +116,6 @@ __all__ = [
     "count_partitions",
     "cycle_decomposition",
     "cycle_type",
-    "cycle_type_to_partition",
     "cycle_types_of",
     "derangements",
     "derangements_by_inclusion_exclusion",

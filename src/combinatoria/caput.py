@@ -64,9 +64,10 @@ class CaputSpec(Value):
     """A head: positions of the reference arrangement held fixed, plus a mode.
 
     Degenerate heads are legitimate: EXACT with |head| = n is satisfied by the
-    identity alone, EXACT with |head| = n-1 by nothing at all.  The mode may
-    come as its text, ``"exact"`` for EXACT; positions are read as whole
-    numbers, so ``2.0`` is refused, not taken for 2.
+    identity alone, EXACT with |head| = n-1 by nothing at all.  A head of one
+    position, ``head_size == 1``, is monadic.  The mode may come as its text,
+    ``"exact"`` for EXACT; positions are read as whole numbers, so ``2.0`` is
+    refused, not taken for 2.
     """
 
     __slots__ = ("degree", "head", "mode")
@@ -100,10 +101,6 @@ class CaputSpec(Value):
     @property
     def head_size(self) -> int:
         return len(self.head)
-
-    @property
-    def is_monadic(self) -> bool:
-        return len(self.head) == 1
 
     @classmethod
     def fixing_symbols(

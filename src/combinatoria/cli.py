@@ -11,7 +11,9 @@ only the output of the format asked for:
   row; non-numeric fields quoted.
 
 The default format can be preset with the COMBINATORIA_FORMAT environment
-variable.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+variable.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+141 stdout closed by its reader (as a shell reports a writer stopped by
+SIGPIPE; nothing is added to stderr).
 
 Every command and leaf is one row of ``_COMMANDS``.  To add a leaf, write its
 ``_cmd_*`` handler, which returns the JSON result or (header, rows), and add
@@ -425,20 +427,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         output = args.handler(args)
-    except CombinatoriaError as exc:
-        print(f"combinatoria: error: {exc}", file=sys.stderr)
-        return 2
-    else:
         if args.format == "json":
             print(render_json(command, output))
         elif args.format == "csv":
             render_csv(*output)
         else:
             print(render_human(*output))
-        return 1 if getattr(args, "verification_failed", False) else 0
+        # a closed pipe shows at the latest here, not in the flush at exit
+        sys.stdout.flush()
+    except CombinatoriaError as exc:
+        print(f"combinatoria: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  What is left in its buffer goes to
+        # devnull, so the flush at exit raises nothing more, and the exit
+        # status is 128 + 13, a shell's status for a writer stopped by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+    return 1 if getattr(args, "verification_failed", False) else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from ._value import Value
-from .errors import CEILINGS, InvariantViolationError, refuse_past
+from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
 from .partitions import two_part_count
 
 __all__ = [
@@ -43,8 +43,14 @@ class TreeCoordinate(Value):
     sequens: int
 
     def __init__(self, antecedens: int, sequens: int) -> None:
-        if antecedens < 0 or sequens < 0:
-            raise InvariantViolationError("coordinates are non-negative")
+        try:
+            if antecedens < 0 or sequens < 0:
+                raise InvariantViolationError("coordinates are non-negative")
+        except TypeError:
+            raise InvariantViolationError(
+                f"coordinates must be whole numbers, got antecedens {shown(antecedens)}"
+                f" and sequens {shown(sequens)}"
+            ) from None
         _set_antecedens(self, antecedens)
         _set_sequens(self, sequens)
 

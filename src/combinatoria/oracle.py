@@ -34,11 +34,9 @@ from . import caput, genealogy, partitions, problems
 from ._value import Value
 from .caput import HeadMode
 from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past
-from .perm import Permutation
 
 __all__ = [
     "OracleReport",
-    "enumerate_sn",
     "count_caput_by_filter",
     "count_partitions_by_enumeration",
     "count_two_part_by_enumeration",
@@ -71,15 +69,6 @@ class OracleReport(Value):
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-def enumerate_sn(n: int) -> Iterator[Permutation]:
-    """Every element of S_n exactly once, lexicographic one-line order."""
-    n = refuse_past("S_n walk", n)
-    if n < 1:
-        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    for image in itertools.permutations(range(1, n + 1)):
-        yield Permutation(image)
 
 
 def _orbit_masks(image: tuple[int, ...]) -> tuple[int, ...]:

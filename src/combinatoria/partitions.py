@@ -40,7 +40,6 @@ __all__ = [
     "class_order",
     "cycle_types_of",
     "partition_to_cycle_type",
-    "cycle_type_to_partition",
     "DEFAULT_ENUMERATION_CEILING",
     "COUNTING_CEILING",
 ]
@@ -60,22 +59,25 @@ class Partition(Value):
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]) -> None:
-        parts = tuple(parts)
-        prev = None
-        for x in parts:
-            if x < 1 or (prev is not None and x > prev):
-                raise InvariantViolationError(
-                    f"parts must be non-increasing positives: {shown(parts)}"
-                )
-            prev = x
+        try:
+            parts = tuple(parts)
+            prev = None
+            for x in parts:
+                if x < 1 or (prev is not None and x > prev):
+                    raise InvariantViolationError(
+                        f"parts must be non-increasing positives: {shown(parts)}"
+                    )
+                prev = x
+        except TypeError:
+            # no collection, or a part that does not compare with numbers
+            raise InvariantViolationError(
+                f"parts must be a collection of whole numbers, got {shown(parts)}"
+            ) from None
         _set_parts(self, parts)
 
     @property
     def total(self) -> int:
         return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.parts)
@@ -260,10 +262,6 @@ def partition_to_cycle_type(p: Partition) -> CycleType:
     refuse_past("permutation degree", n)
     # checked positive parts summing to n: each length lies in 1..n
     return _trusted_cycle_type(n, _alpha(n, p.parts))
-
-
-def cycle_type_to_partition(t: CycleType) -> Partition:
-    return Partition(t.cycle_lengths())
 
 
 def cycle_types_of(n: int) -> list[CycleType]:

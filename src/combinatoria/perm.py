@@ -95,15 +95,21 @@ class Permutation(Value):
     image: tuple[int, ...]
 
     def __init__(self, image: Iterable[int]) -> None:
-        # a tuple the caller cannot change past the checks; tuple(t) is t
-        image = tuple(image)
-        n = len(image)
-        if n == 0:
-            raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        if sorted(image) != list(range(1, n + 1)):
+        try:
+            # a tuple the caller cannot change past the checks; tuple(t) is t
+            image = tuple(image)
+            n = len(image)
+            if n == 0:
+                raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+            if sorted(image) != list(range(1, n + 1)):
+                raise InvariantViolationError(
+                    f"one-line form {shown(list(image))} is not a bijection of 1..{n}"
+                )
+        except TypeError:
+            # no collection, or points that do not compare, such as text among numbers
             raise InvariantViolationError(
-                f"one-line form {shown(list(image))} is not a bijection of 1..{n}"
-            )
+                f"a one-line form must be a collection of whole-number points, got {shown(image)}"
+            ) from None
         _set_image(self, image)
 
     @property
@@ -114,9 +120,6 @@ class Permutation(Value):
         if not 1 <= point <= self.degree:
             raise InvariantViolationError(f"point {shown(point)} outside 1..{self.degree}")
         return self.image[point - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
 
     def __str__(self) -> str:
         return format_one_line(self)
@@ -169,23 +172,25 @@ class Cycle(Value):
     points: tuple[int, ...]
 
     def __init__(self, points: tuple[int, ...]) -> None:
-        pts = tuple(points)
-        if not pts:
-            raise InvariantViolationError("a cycle needs at least one point")
-        if len(set(pts)) != len(pts):
-            raise InvariantViolationError(f"cycle {shown(pts)} repeats a point")
-        least = min(pts)
-        if least <= 0:
-            raise InvariantViolationError(f"cycle {shown(pts)} contains a non-positive point")
+        try:
+            pts = tuple(points)
+            if not pts:
+                raise InvariantViolationError("a cycle needs at least one point")
+            if len(set(pts)) != len(pts):
+                raise InvariantViolationError(f"cycle {shown(pts)} repeats a point")
+            least = min(pts)
+            if least <= 0:
+                raise InvariantViolationError(f"cycle {shown(pts)} contains a non-positive point")
+        except TypeError:
+            # no collection, or points that do not compare with numbers
+            raise InvariantViolationError(
+                f"a cycle must be a collection of whole-number points, got {shown(points)}"
+            ) from None
         if pts[0] != least:
             # canonical rotation: smallest point first
             k = pts.index(least)
             pts = pts[k:] + pts[:k]
         _set_points(self, pts)
-
-    @property
-    def length(self) -> int:
-        return len(self.points)
 
     def __str__(self) -> str:
         if max(self.points) > 9:
@@ -207,16 +212,17 @@ class CycleType(Value):
     alpha: tuple[int, ...]
 
     def __init__(self, degree: int, alpha: Iterable[int]) -> None:
-        alpha = tuple(alpha)
         degree = whole("the degree of a cycle type", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
         try:
+            alpha = tuple(alpha)
             weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
         except TypeError:
             weighted = None
         if type(weighted) is not int:
-            # some count is no int: read each as a whole number, or refuse it
+            # no collection, or some count is no int: read each count as a
+            # whole number, or refuse it
             alpha = wholes("the counts of a cycle type", alpha)
             weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
         if len(alpha) != degree or min(alpha) < 0:
@@ -248,14 +254,6 @@ class CycleType(Value):
         for length in compress(range(self.degree, 0, -1), reversed(alpha)):
             out += [length] * alpha[length - 1]
         return tuple(out)
-
-    def count(self, length: int) -> int:
-        """Number of cycles of the given length."""
-        if not 1 <= length <= self.degree:
-            raise InvariantViolationError(
-                f"cycle length {shown(length)} outside 1..{self.degree}"
-            )
-        return self.alpha[length - 1]
 
     def __str__(self) -> str:
         return format_alpha(self)

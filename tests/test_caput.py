@@ -87,7 +87,7 @@ class TestSpec:
     def test_fixing_symbols(self):
         spec = CaputSpec.fixing_symbols(4, "a")
         assert spec.head == {1}
-        assert spec.is_monadic
+        assert spec.head_size == 1
 
     def test_head_contents_echo(self):
         spec = CaputSpec.parse_head(4, "1=a,3=c")

@@ -65,7 +65,6 @@ GUARDS = {
     "vicinity_classes": (
         problems.vicinity_classes, problems.VICINITY_CLASS_CEILING, "vicinity_variations"
     ),
-    "enumerate_sn": (lambda n: next(oracle.enumerate_sn(n)), oracle.SN_CEILING, "closed form"),
     "cycle_type_census": (oracle.cycle_type_census, oracle.SN_CEILING, "closed form"),
     "rotation_class_census": (oracle.rotation_class_census, oracle.SN_CEILING, "closed form"),
     "count_derangements_by_filter": (
@@ -457,7 +456,6 @@ NOT_WHOLE = {
     "solve text": lambda: problems.solve(4, "3"),
     "solve with witnesses text": lambda: problems.solve(4, "3", with_witnesses=True),
     "reduce_to_caput text": lambda: problems.reduce_to_caput(4, "3"),
-    "enumerate_sn text": lambda: list(oracle.enumerate_sn("3")),
     "cycle_type_census text": lambda: oracle.cycle_type_census("3"),
     "rotation_class_census text": lambda: oracle.rotation_class_census("3"),
     "count_caput_by_filter text": (

@@ -5,9 +5,12 @@ import decimal
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +348,40 @@ class TestHugeCounts:
         assert len(self.DIGITS) > 4300
         assert self.LAST_FIELD[fmt](out) == self.DIGITS
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head -1`` does, ends the
+    request quietly with 141, the status a shell gives a writer stopped by
+    SIGPIPE."""
+
+    @staticmethod
+    def _child(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "combinatoria.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "human"])
+    def test_reading_one_line_of_a_listing(self, fmt):
+        header = '"partition"' if fmt == "csv" else "partition"
+        # p(35) = 14883 rows, about 350 KB: far past what a pipe buffers, so
+        # the child is still writing when the pipe closes
+        child = self._child("partitions", "list", "--n", "35", "--format", fmt)
+        first = child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err, first) == (141, b"", f"{header}\n".encode())
+
+    def test_a_passing_verify_is_not_reported_as_failed(self):
+        # the pipe closes before the sweep writes its few rows
+        child = self._child("verify", "--max-n", "3", "--format", "csv")
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (141, b"")
 
 
 class TestEnvironmentDefault:

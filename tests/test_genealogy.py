@@ -60,6 +60,11 @@ class TestCoordinates:
             if a < b and (b, a) in index:
                 assert i < index[(b, a)]
 
+    @pytest.mark.parametrize("pair", [("a", 1), (1, "b")])
+    def test_coordinate_that_is_no_number_is_refused(self, pair):
+        with pytest.raises(InvariantViolationError, match="must be whole numbers, got antecedens"):
+            TreeCoordinate(*pair)
+
     def test_swapped_pair_is_a_different_point(self):
         for c in coordinates(3):
             if c.antecedens != c.sequens:

@@ -14,7 +14,6 @@ import combinatoria.problems as problems_mod
 from combinatoria.caput import HeadMode
 from combinatoria.errors import (
     EnumerationTooLargeError,
-    InvalidDegreeError,
     InvariantViolationError,
 )
 from combinatoria.oracle import (
@@ -25,51 +24,12 @@ from combinatoria.oracle import (
     count_partitions_by_enumeration,
     count_two_part_by_enumeration,
     cycle_type_census,
-    enumerate_sn,
     rotation_class_census,
     verify_all,
 )
 from combinatoria.partitions import ClassOrder
 
 from conftest import all_perms, naive_fixed_points
-
-
-class TestEnumerateSn:
-    def test_s3_is_the_classical_six(self):
-        listed = {p.image for p in enumerate_sn(3)}
-        assert listed == {
-            (1, 2, 3),  # (1)(2)(3)
-            (1, 3, 2),  # (1)(23)
-            (2, 1, 3),  # (3)(12)
-            (2, 3, 1),  # (123)
-            (3, 1, 2),  # (132)
-            (3, 2, 1),  # (2)(13)
-        }
-
-    def test_s1_is_the_identity_alone(self):
-        assert [p.image for p in enumerate_sn(1)] == [(1,)]
-
-    def test_s5_has_120_distinct_elements(self):
-        images = [p.image for p in enumerate_sn(5)]
-        assert len(images) == 120
-        assert len(set(images)) == 120
-
-    def test_exactly_factorial_many_distinct_elements_up_to_8(self):
-        for n in range(1, 9):
-            images = {p.image for p in enumerate_sn(n)}
-            assert len(images) == math.factorial(n)
-
-    def test_lexicographic_order(self):
-        images = [p.image for p in enumerate_sn(4)]
-        assert images == sorted(images)
-
-    def test_ceiling(self):
-        with pytest.raises(EnumerationTooLargeError, match="9"):
-            list(enumerate_sn(10))
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(InvalidDegreeError):
-            list(enumerate_sn(0))
 
 
 # sha256 of each census's fields, every field in sorted order, captured from

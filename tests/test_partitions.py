@@ -14,7 +14,6 @@ from combinatoria.partitions import (
     Partition,
     class_order,
     count_partitions,
-    cycle_type_to_partition,
     cycle_types_of,
     enumerate_partitions,
     partition_to_cycle_type,
@@ -61,9 +60,9 @@ class TestPartitionType:
         assert Partition((4, 1, 1)).total == 6
         assert Partition(()).total == 0
 
-    @pytest.mark.parametrize("parts", [(1, 2), (0,), (-1,), (2, 3, 1)])
+    @pytest.mark.parametrize("parts", [(1, 2), (0,), (-1,), (2, 3, 1), 5, ("a",)])
     def test_invalid_parts_rejected(self, parts):
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(InvariantViolationError, match="parts must be"):
             Partition(parts)
 
 
@@ -143,7 +142,7 @@ class TestCount:
 class TestTwoPart:
     def test_six_has_three(self):
         assert two_part_count(6) == 3
-        pairs = [p.parts for p in enumerate_partitions(6) if len(p) == 2]
+        pairs = [p.parts for p in enumerate_partitions(6) if len(p.parts) == 2]
         assert pairs == [(5, 1), (4, 2), (3, 3)]
 
     def test_odd_case(self):
@@ -158,7 +157,7 @@ class TestTwoPart:
 
     def test_matches_enumeration_2_to_60(self):
         for n in range(2, 61):
-            expected = sum(1 for p in enumerate_partitions(n) if len(p) == 2)
+            expected = sum(1 for p in enumerate_partitions(n) if len(p.parts) == 2)
             assert two_part_count(n) == expected
 
     @given(st.integers(min_value=2, max_value=10_000))
@@ -217,7 +216,7 @@ class TestCycleTypesOf:
 
     def test_partition_round_trip(self):
         for p in enumerate_partitions(9):
-            assert cycle_type_to_partition(partition_to_cycle_type(p)) == p
+            assert Partition(partition_to_cycle_type(p).cycle_lengths()) == p
 
     def test_empty_partition_names_no_type(self):
         with pytest.raises(InvariantViolationError):
