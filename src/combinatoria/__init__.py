@@ -33,7 +33,6 @@ from .errors import (
 from .genealogy import (
     TreeCoordinate,
     coordinates,
-    discerptiones_two,
     personae_count,
 )
 from .oracle import OracleReport, verify_all
@@ -119,7 +118,6 @@ __all__ = [
     "cycle_types_of",
     "derangements",
     "derangements_by_inclusion_exclusion",
-    "discerptiones_two",
     "enumerate_caput",
     "enumerate_partitions",
     "fixed_points",

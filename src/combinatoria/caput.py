@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value
 from .errors import (
-    CEILINGS,
     GroundSetMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
@@ -48,10 +47,7 @@ __all__ = [
     "derangements",
     "derangements_by_inclusion_exclusion",
     "is_caput_of",
-    "DEFAULT_ENUMERATION_CEILING",
 ]
-
-DEFAULT_ENUMERATION_CEILING = CEILINGS["head enumeration"].limit
 
 
 class HeadMode(Enum):
@@ -363,7 +359,12 @@ def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:
     if isinstance(whole, Permutation):
         return whole.image
-    points = tuple(map(_point, whole))
+    try:
+        points = tuple(map(_point, whole))
+    except TypeError:
+        raise InvariantViolationError(
+            f"an arrangement must be a collection of symbols, got {shown(whole)}"
+        ) from None
     if sorted(points) != list(range(1, len(points) + 1)):
         raise InvariantViolationError(
             f"arrangement {shown(whole)} is not a rearrangement of a reference alphabet"
@@ -379,14 +380,15 @@ def _point(symbol: int | str) -> int:
     return symbol_to_point(str(symbol))
 
 
-def _normalize_sub(sub: "CaputSpec | Mapping[int, str | int] | Sequence[tuple[int, str | int]]") -> dict[int, int]:
+def _normalize_sub(sub: CaputSpec | Mapping[int, str | int]) -> dict[int, int]:
     if isinstance(sub, CaputSpec):
         return {i: i for i in sub.head}
-    if isinstance(sub, Mapping):
-        pairs = sub.items()
-    else:
-        pairs = sub
-    return {_position(pos): _point(sym) for pos, sym in pairs}
+    if not isinstance(sub, Mapping):
+        raise InvariantViolationError(
+            f"a head to test must be a CaputSpec or a mapping of positions to occupants,"
+            f" got {shown(sub)}"
+        )
+    return {_position(pos): _point(sym) for pos, sym in sub.items()}
 
 
 def _position(pos: int | str) -> int:
@@ -401,8 +403,7 @@ def _position(pos: int | str) -> int:
 
 
 def is_caput_of(
-    sub: "CaputSpec | Mapping[int, str | int] | Sequence[tuple[int, str | int]]",
-    whole: str | Sequence[int | str] | Permutation,
+    sub: CaputSpec | Mapping[int, str | int], whole: str | Sequence[int | str] | Permutation
 ) -> bool:
     """Position-respecting containment: is the smaller arrangement a head of the larger?
 

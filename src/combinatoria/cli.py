@@ -266,7 +266,7 @@ def _cmd_genealogy_coords(args) -> _Answer:
 
 
 def _cmd_genealogy_discerptiones(args) -> _Answer:
-    count = genealogy_mod.discerptiones_two(args.n)
+    count = partitions_mod.two_part_count(args.n)
     return _one_row(args, ["cognationes", "two_part_count"], [args.n, count])
 
 

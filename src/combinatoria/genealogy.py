@@ -18,21 +18,16 @@ from __future__ import annotations
 import itertools
 
 from ._value import Value
-from .errors import CEILINGS, InvariantViolationError, refuse_past, shown
-from .partitions import two_part_count
+from .errors import InvariantViolationError, refuse_past, shown
 
 __all__ = [
     "TreeCoordinate",
     "personae_count",
-    "discerptiones_two",
     "coordinates",
     "LAYOUT_VERSION",
-    "COORDINATE_CEILING",
 ]
 
 LAYOUT_VERSION = "reconstructed-v1"
-
-COORDINATE_CEILING = CEILINGS["coordinate listing"].limit
 
 
 class TreeCoordinate(Value):
@@ -74,15 +69,6 @@ def personae_count(gradus: int) -> int:
     """Persons at the given degree: 2^n * (n + 1), exactly."""
     gradus = _check_gradus(gradus, "power-of-two count")
     return 2**gradus * (gradus + 1)
-
-
-def discerptiones_two(n: int) -> int:
-    """Partitions of the rank count N into two parts.
-
-    Delegates to the shared two-part partition count, so the two operations
-    cannot drift apart; N < 2 gives 0.
-    """
-    return two_part_count(n)
 
 
 def coordinates(gradus: int) -> list[TreeCoordinate]:

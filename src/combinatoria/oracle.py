@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import caput, genealogy, partitions, problems
 from ._value import Value
 from .caput import HeadMode
-from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past
+from .errors import InvalidDegreeError, InvariantViolationError, refuse_past
 
 __all__ = [
     "OracleReport",
@@ -44,10 +44,7 @@ __all__ = [
     "cycle_type_census",
     "rotation_class_census",
     "verify_all",
-    "SN_CEILING",
 ]
-
-SN_CEILING = CEILINGS["S_n walk"].limit
 
 
 class OracleReport(Value):

@@ -25,7 +25,7 @@ from itertools import compress, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._value import Value
-from .errors import CEILINGS, InvariantViolationError, refuse_past, shown, whole
+from .errors import InvariantViolationError, refuse_past, shown, whole
 from .perm import CycleType, _alpha, _trusted_cycle_type
 
 if TYPE_CHECKING:
@@ -40,12 +40,7 @@ __all__ = [
     "class_order",
     "cycle_types_of",
     "partition_to_cycle_type",
-    "DEFAULT_ENUMERATION_CEILING",
-    "COUNTING_CEILING",
 ]
-
-DEFAULT_ENUMERATION_CEILING = CEILINGS["partition listing"].limit
-COUNTING_CEILING = CEILINGS["partition count"].limit
 
 
 class Partition(Value):

@@ -47,7 +47,6 @@ from typing import Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import (
-    CEILINGS,
     DegreeMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
@@ -75,10 +74,7 @@ __all__ = [
     "format_cycles",
     "point_to_symbol",
     "symbol_to_point",
-    "DEGREE_CEILING",
 ]
-
-DEGREE_CEILING = CEILINGS["cycle degree"].limit
 
 
 class Permutation(Value):
@@ -215,20 +211,12 @@ class CycleType(Value):
         degree = whole("the degree of a cycle type", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-        try:
-            alpha = tuple(alpha)
-            weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
-        except TypeError:
-            weighted = None
-        if type(weighted) is not int:
-            # no collection, or some count is no int: read each count as a
-            # whole number, or refuse it
-            alpha = wholes("the counts of a cycle type", alpha)
-            weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
+        alpha = wholes("the counts of a cycle type", alpha)
         if len(alpha) != degree or min(alpha) < 0:
             raise InvariantViolationError(
                 f"alpha must be {shown(degree)} non-negative counts, got {shown(alpha)}"
             )
+        weighted = sum(map(operator.mul, range(1, degree + 1), alpha))
         if weighted != degree:
             raise InvariantViolationError(
                 f"sum of i*alpha_i is {shown(weighted)}, expected the degree {degree}"
@@ -256,7 +244,11 @@ class CycleType(Value):
         return tuple(out)
 
     def __str__(self) -> str:
-        return format_alpha(self)
+        """Sparse rendering, e.g. ``α₁=3 α₃=1``."""
+        alpha = self.alpha
+        return " ".join([
+            f"{_LABELS[i]}{alpha[i - 1]}" for i in compress(range(1, len(alpha) + 1), alpha)
+        ])
 
 
 _set_points = Cycle.points.__set__
@@ -299,14 +291,6 @@ class _Labels(dict):
 
 
 _LABELS = _Labels()
-
-
-def format_alpha(t: CycleType) -> str:
-    """Sparse rendering of a cycle type, e.g. ``α₁=3 α₃=1``."""
-    alpha = t.alpha
-    return " ".join([
-        f"{_LABELS[i]}{alpha[i - 1]}" for i in compress(range(1, len(alpha) + 1), alpha)
-    ])
 
 
 def identity(n: int) -> Permutation:
@@ -379,23 +363,27 @@ def fixed_points(p: Permutation) -> frozenset[int]:
     return frozenset(i for i, x in enumerate(p.image, start=1) if x == i)
 
 
-def from_cycles(
-    cycles: Iterable[Cycle | Sequence[int]], degree: int | None = None
-) -> Permutation:
+def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
     """Rebuild a permutation from disjoint cycles.
 
-    Points absent from every cycle are fixed.  When ``degree`` is omitted it
-    is the largest point mentioned; a degree above ``DEGREE_CEILING`` is
+    The degree is the largest point mentioned, and points absent from every
+    cycle are fixed; a degree past the "cycle degree" row of ``CEILINGS`` is
     refused before the image is built.
     """
-    cycle_list = [c.points if isinstance(c, Cycle) else tuple(c) for c in cycles]
-    mentioned = list(chain.from_iterable(cycle_list))
-    if not mentioned and degree is None:
+    try:
+        cycle_list = [c.points if isinstance(c, Cycle) else tuple(c) for c in cycles]
+        mentioned = list(chain.from_iterable(cycle_list))
+        points = set(mentioned)
+        n = max(mentioned, default=0)
+    except TypeError:
+        # no collection of collections, or points that do not hash or compare
+        raise InvariantViolationError(
+            f"cycles must be collections of whole-number points, got {shown(cycles)}"
+        ) from None
+    if not mentioned:
         raise InvalidDegreeError("cannot infer a degree from an empty cycle list")
-    points = set(mentioned)
     if len(points) != len(mentioned):
         raise InvariantViolationError("cycles are not disjoint")
-    n = degree if degree is not None else max(mentioned)
     refuse_past("cycle degree", n)
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
@@ -453,13 +441,13 @@ def parse_one_line(text: str) -> Permutation:
     return Permutation(image)
 
 
-def parse_cycles(text: str, degree: int | None = None) -> Permutation:
+def parse_cycles(text: str) -> Permutation:
     """Parse cycle form such as ``(1)(3)(5)(246)`` or ``(2,4,6)(10)``.
 
     Inside one pair of parentheses, points may be comma- or space-separated;
     a bare digit run like ``246`` means the single-digit points 2, 4, 6.
-    The degree defaults to the largest point mentioned, which matches the
-    canonical form (every 1-cycle printed).
+    The degree is the largest point mentioned, which matches the canonical
+    form (every 1-cycle printed).
     """
     body = text.strip()
     if not body:
@@ -482,16 +470,16 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
         else:
             raise InvariantViolationError(f"unreadable cycle {chunk!r} in {text!r}")
         cycles.append(pts)
-    return from_cycles(cycles, degree=degree)
+    return from_cycles(cycles)
 
 
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
+def parse_permutation(text: str) -> Permutation:
     """Accept either textual form, chosen by the leading bracket."""
     body = text.strip()
     if body.startswith("["):
         return parse_one_line(body)
     if body.startswith("("):
-        return parse_cycles(body, degree=degree)
+        return parse_cycles(body)
     raise InvariantViolationError(
         f"expected [one-line] or (cycle) notation, got {text!r}"
     )

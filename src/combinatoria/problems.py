@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from ._value import Value
 from .caput import CaputSpec, _factorial, _images, count_caput, enumerate_caput
-from .errors import CEILINGS, InvalidDegreeError, InvariantViolationError, refuse_past, shown, whole
+from .errors import InvalidDegreeError, InvariantViolationError, refuse_past, shown, whole
 from .perm import Permutation, _trusted
 
 __all__ = [
@@ -40,10 +40,7 @@ __all__ = [
     "reduce_to_caput",
     "PROBLEM_TITLES",
     "SIMPLICITER",
-    "VICINITY_CLASS_CEILING",
 ]
-
-VICINITY_CLASS_CEILING = CEILINGS["vicinity listing"].limit
 
 SIMPLICITER = "simpliciter"
 
@@ -88,14 +85,13 @@ def _binomial_sizes(n: int, k: int) -> tuple[int, int]:
     return n, k
 
 
-def complexiones_simpliciter(n: int, include_empty: bool = False) -> int:
+def complexiones_simpliciter(n: int) -> int:
     """All non-empty complexions of an n-whole: 2^n - 1.
 
     The count traditionally starts at the unions, so the empty sub-whole is
-    excluded; pass include_empty=True for the 2^n variant.
+    excluded.
     """
-    n = _parts_of_whole(n)
-    return 2**n if include_empty else 2**n - 1
+    return 2 ** _parts_of_whole(n) - 1
 
 
 def _parts_of_whole(n: int) -> int:
@@ -283,12 +279,15 @@ _PROBLEMS = {
 }
 
 
+# The most witnesses solve lists; ``truncated`` says whether it cut any.
+_WITNESS_LIMIT = 1000
+
+
 def solve(
     problem_id: int | str,
     n: int,
     k: int | None = None,
     with_witnesses: bool = False,
-    witness_limit: int = 1000,
 ) -> ProblemResult:
     """Solve one numbered problem for n things (k where an exponent is needed).
 
@@ -316,16 +315,14 @@ def solve(
         # The stream reads n and k as the count does, so a bad size or a
         # count row refuses as it would without witnesses.
         stream = listing(n, k)
-        if whole("the witness limit", witness_limit) < 0:
-            raise InvariantViolationError("the witness limit must be >= 0")
         # Streamed, cut at limit + 1: only what is kept is built, and the extra
         # item tells whether anything was cut.  The first witness is refused
         # past its row before the count's arithmetic: in problems 1-5 it is
         # as large as any other.
         kept = tuple(itertools.islice(stream, 1))
         refuse_past("witness points", max(map(len, kept), default=0))
-        kept += tuple(itertools.islice(stream, witness_limit))
-        witnesses, truncated = kept[:witness_limit], len(kept) > witness_limit
+        kept += tuple(itertools.islice(stream, _WITNESS_LIMIT))
+        witnesses, truncated = kept[:_WITNESS_LIMIT], len(kept) > _WITNESS_LIMIT
     count = count_of(n, k)
     return ProblemResult(problem_id, inputs, count, witnesses, truncated)
 

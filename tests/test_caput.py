@@ -493,6 +493,16 @@ class TestIsCaputOf:
         with pytest.raises(InvariantViolationError, match=f"head position {pos!r} "):
             is_caput_of({pos: "a"}, "abc")
 
+    @pytest.mark.parametrize(
+        "sub, whole, message",
+        [(5, "abc", "a head to test must be a CaputSpec or a mapping .*, got 5$"),
+         ("3", "abc", "a head to test must be a CaputSpec or a mapping .*, got '3'$"),
+         ({1: "a"}, 5, "^an arrangement must be a collection of symbols, got 5$")],
+    )
+    def test_sub_or_whole_of_another_kind_is_named(self, sub, whole, message):
+        with pytest.raises(InvariantViolationError, match=message):
+            is_caput_of(sub, whole)
+
     def test_permutation_as_whole(self):
         p = Permutation((2, 1, 3))
         assert is_caput_of({3: 3}, p)

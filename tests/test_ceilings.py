@@ -40,36 +40,35 @@ POWER_OF_TWO = CEILINGS["power-of-two count"].limit
 BINOMIAL = CEILINGS["binomial count"].limit
 SIMPLICITER = problems.SIMPLICITER
 DEGREE = CEILINGS["permutation degree"].limit
+CYCLE_DEGREE = CEILINGS["cycle degree"].limit
+PARTITION_LISTING = CEILINGS["partition listing"].limit
+S_N = CEILINGS["S_n walk"].limit
 
 # (guard, ceiling, the name of what still works past it)
 GUARDS = {
     "enumerate_partitions": (
-        partitions.enumerate_partitions,
-        partitions.DEFAULT_ENUMERATION_CEILING,
-        "count_partitions",
+        partitions.enumerate_partitions, PARTITION_LISTING, "count_partitions"
     ),
     "cycle_types_of": (
-        partitions.cycle_types_of,
-        partitions.DEFAULT_ENUMERATION_CEILING,
-        "count_partitions",
+        partitions.cycle_types_of, PARTITION_LISTING, "count_partitions"
     ),
     "count_partitions": (
-        partitions.count_partitions, partitions.COUNTING_CEILING, "two_part_count"
+        partitions.count_partitions, CEILINGS["partition count"].limit, "two_part_count"
     ),
     "enumerate_caput": (
         lambda n: caput.enumerate_caput(CaputSpec(degree=n)),
-        caput.DEFAULT_ENUMERATION_CEILING,
+        CEILINGS["head enumeration"].limit,
         "count_caput",
     ),
-    "coordinates": (genealogy.coordinates, genealogy.COORDINATE_CEILING, "personae_count"),
+    "coordinates": (
+        genealogy.coordinates, CEILINGS["coordinate listing"].limit, "personae_count"
+    ),
     "vicinity_classes": (
-        problems.vicinity_classes, problems.VICINITY_CLASS_CEILING, "vicinity_variations"
+        problems.vicinity_classes, CEILINGS["vicinity listing"].limit, "vicinity_variations"
     ),
-    "cycle_type_census": (oracle.cycle_type_census, oracle.SN_CEILING, "closed form"),
-    "rotation_class_census": (oracle.rotation_class_census, oracle.SN_CEILING, "closed form"),
-    "count_derangements_by_filter": (
-        oracle.count_derangements_by_filter, oracle.SN_CEILING, "closed form"
-    ),
+    "cycle_type_census": (oracle.cycle_type_census, S_N, "closed form"),
+    "rotation_class_census": (oracle.rotation_class_census, S_N, "closed form"),
+    "count_derangements_by_filter": (oracle.count_derangements_by_filter, S_N, "closed form"),
     "verify_all": (oracle.verify_all, 8, "max_n"),
     "count_partitions_by_enumeration": (
         oracle.count_partitions_by_enumeration,
@@ -84,9 +83,10 @@ GUARDS = {
         CEILINGS["inclusion-exclusion sum"].limit,
         "derangements",
     ),
-    "from_cycles": (lambda n: perm.from_cycles([(1, n)]), perm.DEGREE_CEILING, "parse_one_line"),
+    "from_cycles": (lambda n: perm.from_cycles([(1, n)]), CYCLE_DEGREE, "parse_one_line"),
+    # the degree named by a 1-cycle alone
     "from_cycles degree": (
-        lambda n: perm.from_cycles([(1, 2)], degree=n), perm.DEGREE_CEILING, "parse_one_line"
+        lambda n: perm.from_cycles([(1, 2), (n,)]), CYCLE_DEGREE, "parse_one_line"
     ),
     # each would allocate by the degree before any other check
     "identity": (perm.identity, DEGREE, "a smaller degree"),
@@ -356,9 +356,9 @@ MESSAGE_SITES = {
         lambda: perm.CycleType.from_cycle_lengths(2, [HUGE]),
     ),
     "from_cycles point": (
-        lambda: perm.from_cycles([(1, 7)], degree=5),
-        "point 7 outside 1..5",
-        lambda: perm.from_cycles([(1, HUGE)], degree=5),
+        lambda: perm.from_cycles([(5, -7)]),
+        "point -7 outside 1..5",
+        lambda: perm.from_cycles([(5, -HUGE)]),
     ),
     "point_to_symbol": (
         lambda: perm.point_to_symbol(27),

@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 import combinatoria.cli as cli_mod
 import combinatoria.perm as perm_mod
 from combinatoria import OracleReport
-from combinatoria.caput import DEFAULT_ENUMERATION_CEILING as CAPUT_CEILING
 from combinatoria.cli import main
-from combinatoria.genealogy import COORDINATE_CEILING
-from combinatoria.partitions import COUNTING_CEILING
-from combinatoria.partitions import DEFAULT_ENUMERATION_CEILING as PARTITION_CEILING
+from combinatoria.errors import CEILINGS
+
+CAPUT_CEILING = CEILINGS["head enumeration"].limit
+COORDINATE_CEILING = CEILINGS["coordinate listing"].limit
+COUNTING_CEILING = CEILINGS["partition count"].limit
+PARTITION_CEILING = CEILINGS["partition listing"].limit
 
 
 def run(capsys, *argv):

@@ -1,17 +1,16 @@
+import contextlib
+import io
+import json
+
 import pytest
 
-from combinatoria.errors import EnumerationTooLargeError, InvariantViolationError
-from combinatoria.genealogy import (
-    COORDINATE_CEILING,
-    LAYOUT_VERSION,
-    TreeCoordinate,
-    coordinates,
-    discerptiones_two,
-    personae_count,
-)
+from combinatoria.cli import main
+from combinatoria.errors import CEILINGS, EnumerationTooLargeError, InvariantViolationError
+from combinatoria.genealogy import LAYOUT_VERSION, TreeCoordinate, coordinates, personae_count
 from combinatoria.partitions import two_part_count
 
 NEGATIVE_GRADUS = "^gradus starts at 0, the subject person$"
+COORDINATE_CEILING = CEILINGS["coordinate listing"].limit
 
 
 class TestPersonaeCount:
@@ -78,11 +77,19 @@ class TestCoordinates:
         assert LAYOUT_VERSION == "reconstructed-v1"
 
 
+def discerptiones(n: int) -> int:
+    """The two-part count that ``genealogy discerptiones --n N`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["genealogy", "discerptiones", "--n", str(n), "--format", "json"]) == 0
+    return int(json.loads(out.getvalue())["result"]["two_part_count"])
+
+
 class TestDiscerptionesTwo:
     @pytest.mark.parametrize("n,expected", [(6, 3), (3, 1), (2, 1), (1, 0), (0, 0)])
     def test_values(self, n, expected):
-        assert discerptiones_two(n) == expected
+        assert discerptiones(n) == expected
 
     def test_shared_implementation_with_partitions(self):
         for n in range(201):
-            assert discerptiones_two(n) == two_part_count(n)
+            assert discerptiones(n) == two_part_count(n)

@@ -13,11 +13,11 @@ import combinatoria.partitions as partitions_mod
 import combinatoria.problems as problems_mod
 from combinatoria.caput import HeadMode
 from combinatoria.errors import (
+    CEILINGS,
     EnumerationTooLargeError,
     InvariantViolationError,
 )
 from combinatoria.oracle import (
-    SN_CEILING,
     OracleReport,
     count_caput_by_filter,
     count_derangements_by_filter,
@@ -30,6 +30,8 @@ from combinatoria.oracle import (
 from combinatoria.partitions import ClassOrder
 
 from conftest import all_perms, naive_fixed_points
+
+SN_CEILING = CEILINGS["S_n walk"].limit
 
 
 # sha256 of each census's fields, every field in sorted order, captured from

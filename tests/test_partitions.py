@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from combinatoria.errors import EnumerationTooLargeError, InvariantViolationError
+from combinatoria.errors import CEILINGS, EnumerationTooLargeError, InvariantViolationError
 from combinatoria.partitions import (
-    COUNTING_CEILING,
     ClassOrder,
     Partition,
     class_order,
@@ -22,6 +21,8 @@ from combinatoria.partitions import (
 from combinatoria.perm import CycleType, Permutation, cycle_type
 
 from conftest import all_perms
+
+COUNTING_CEILING = CEILINGS["partition count"].limit
 
 # the classical 11-item list for N = 6, in its printed order
 PARTITIONS_OF_SIX = [

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combinatoria.errors import (
+    CEILINGS,
     DegreeMismatchError,
     EnumerationTooLargeError,
     InvalidDegreeError,
     InvariantViolationError,
 )
 from combinatoria.perm import (
-    DEGREE_CEILING,
     Cycle,
     CycleType,
     Permutation,
@@ -34,6 +35,8 @@ from combinatoria.perm import (
 )
 
 from conftest import all_perms, as_mapping, conjugate, mapping_compose
+
+CYCLE_DEGREE = CEILINGS["cycle degree"].limit
 
 perms = st.integers(min_value=1, max_value=14).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -125,7 +128,9 @@ class TestInverse:
 
     def test_every_transposition_in_s5_is_self_inverse(self):
         for i, j in itertools.combinations(range(1, 6), 2):
-            t = from_cycles([(i, j)], degree=5)
+            # the 1-cycle of each other point, 5 included, sets the degree
+            t = from_cycles([(i, j), *((k,) for k in range(1, 6) if k not in (i, j))])
+            assert t.degree == 5
             assert inverse(t) == t
 
 
@@ -173,21 +178,23 @@ class TestCycles:
             from_cycles([(1, 2), (2, 3)])
 
     @pytest.mark.parametrize(
-        "cycles, degree, message",
-        [([(9, 1), (0, 2)], 5, "point 9 outside 1..5"),
-         ([(1, 2), (3, 0)], 4, "point 0 outside 1..4"),
-         ([Cycle((2, 7))], 6, "point 7 outside 1..6"),
-         ([(2, float("nan"))], None, "point nan outside 1..2")],
+        "cycles, message",
+        [([(5, 0), (-1, 2)], "point 0 outside 1..5"),
+         ([(1, 2), (3, 0), (4,)], "point 0 outside 1..4"),
+         ([Cycle((2, 7)), (0,)], "point 0 outside 1..7"),
+         ([(2, float("nan"))], "point nan outside 1..2"),
+         (5, "cycles must be collections of whole-number points, got 5"),
+         ([5], "cycles must be collections of whole-number points, got [5]"),
+         ([(1, "a")], "cycles must be collections of whole-number points, got [(1, 'a')]")],
     )
-    def test_from_cycles_names_the_first_listed_point_outside_the_degree(
-        self, cycles, degree, message
-    ):
-        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
-            from_cycles(cycles, degree=degree)
+    def test_from_cycles_names_the_first_listed_point_outside_the_degree(self, cycles, message):
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            from_cycles(cycles)
 
     def test_from_cycles_refuses_degree_zero_before_reading_points(self):
+        # the largest point is 0, so the degree is refused before -1 is named
         with pytest.raises(InvalidDegreeError, match="^degree 0 is not admitted"):
-            from_cycles([(1, 2)], degree=0)
+            from_cycles([(0, -1)])
 
 
 def reference_cycles(image: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -294,6 +301,9 @@ class TestCycleType:
         t = CycleType(3, (One(), One(), 0))
         assert t.alpha == (1, 1, 0) and all(type(a) is int for a in t.alpha)
         assert str(t) == "α₁=1 α₂=1"
+        t = CycleType(1, (True,))
+        assert t.alpha == (1,) and type(t.alpha[0]) is int
+        assert str(t) == "α₁=1"
 
     def test_cycle_lengths_that_are_not_whole_are_refused(self):
         with pytest.raises(InvariantViolationError, match="cycle lengths.*1.0"):
@@ -314,7 +324,7 @@ class TestFixedPoints:
 
     def test_all_24_five_cycles_fix_nothing(self):
         five_cycles = [
-            from_cycles([(1,) + rest], degree=5)
+            from_cycles([(1,) + rest])
             for rest in itertools.permutations((2, 3, 4, 5))
         ]
         assert len(five_cycles) == 24
@@ -340,7 +350,8 @@ class TestTextFormats:
         assert parse_permutation("[2,3,1]") == parse_permutation("(123)")
 
     def test_degree_ten_uses_commas(self):
-        p = from_cycles([(2, 4, 10)], degree=10)
+        p = from_cycles([(2, 4, 10)])
+        assert p.degree == 10
         text = format_cycles(p)
         assert "(2,4,10)" in text
         assert parse_cycles(text) == p
@@ -369,13 +380,13 @@ class TestTextFormats:
             parse_one_line(text)
 
     def test_cycle_text_past_the_degree_ceiling_is_refused(self):
-        assert parse_cycles(f"(1 {DEGREE_CEILING})").degree == DEGREE_CEILING
-        with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):
-            parse_cycles(f"(1 {DEGREE_CEILING + 1})")
-        with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):
+        assert parse_cycles(f"(1 {CYCLE_DEGREE})").degree == CYCLE_DEGREE
+        with pytest.raises(EnumerationTooLargeError, match=str(CYCLE_DEGREE)):
+            parse_cycles(f"(1 {CYCLE_DEGREE + 1})")
+        with pytest.raises(EnumerationTooLargeError, match=str(CYCLE_DEGREE)):
             parse_cycles("(1 99999999999)")
-        with pytest.raises(EnumerationTooLargeError, match=str(DEGREE_CEILING)):
-            from_cycles([(1, 2)], degree=10**12)
+        with pytest.raises(EnumerationTooLargeError, match=str(CYCLE_DEGREE)):
+            from_cycles([(1, 2), (10**12,)])
 
 
 class TestSymbols:

@@ -12,6 +12,11 @@ The whole corpus under the profiler takes about 6 s, so the test runs every
 seventh request of each group, plus every usage error.  Seven is prime to
 the three formats, so this takes every leaf in every format.  When the
 subset was chosen, it reached the same public callables as the whole corpus.
+
+The same pass pins options: each defaulted parameter of a public callable
+must be set to a value other than its default by some request or claim.
+An option that nothing sets is deleted, unless its callable is on the
+allowlist.
 """
 import functools
 import inspect
@@ -34,6 +39,7 @@ ALLOWLIST = {
     # names the README or an acceptance criterion uses
     "identity": "the unit of compose, in the README's list of degree-capped calls",
     "CycleType.from_cycle_lengths": "in the README's list of degree-capped calls",
+    # its mode option too: criterion 5 pins an EXACT head with it
     "CaputSpec.fixing_symbols": "the README session and acceptance criterion 5 pin heads with it",
     "TreeCoordinate.swapped": "acceptance criterion 9 shows (a, b) and (b, a) are two points",
     # paper content that is still to be put under an oracle claim
@@ -45,13 +51,13 @@ ALLOWLIST = {
 
 
 def public_callables() -> dict[str, object]:
-    """Each public callable's name and the code object a call of it runs."""
+    """Each public callable's name and the function a call of it runs."""
     found = {}
     for module in (combinatoria, oracle):
         for name in module.__all__:
             obj = getattr(module, name)
             if inspect.isfunction(obj):
-                found[name] = obj.__code__
+                found[name] = obj
             elif isinstance(obj, type):
                 source = sys.modules[obj.__module__].__file__
                 for attr, member in vars(obj).items():
@@ -63,8 +69,17 @@ def public_callables() -> dict[str, object]:
                         and inspect.isfunction(function)
                         and function.__code__.co_filename == source
                     ):
-                        found[f"{name}.{attr}"] = function.__code__
+                        found[f"{name}.{attr}"] = function
     return found
+
+
+def options(function) -> dict[str, object]:
+    """Each defaulted parameter of the function and its default."""
+    return {
+        name: parameter.default
+        for name, parameter in inspect.signature(function).parameters.items()
+        if parameter.default is not parameter.empty
+    }
 
 
 def reach_requests() -> list[list[str]]:
@@ -74,12 +89,29 @@ def reach_requests() -> list[list[str]]:
 
 
 @functools.lru_cache(maxsize=1)
-def unreached() -> frozenset[str]:
-    called = set()
+def profiled() -> tuple[frozenset[str], frozenset[str]]:
+    """The public callables that nothing reaches, and the options that a
+    call sets, each as ``name(parameter)``."""
+    callables = public_callables()
+    watched = {
+        function.__code__: (name, defaults)
+        for name, function in callables.items()
+        if (defaults := options(function))
+    }
+    called, set_options = set(), set()
 
     def record(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            code = frame.f_code
+            called.add(code)
+            if code in watched:
+                # on entry the locals are the arguments as passed
+                name, defaults = watched[code]
+                values = frame.f_locals
+                for parameter, default in defaults.items():
+                    value = values[parameter]
+                    if value is not default and value != default:
+                        set_options.add(f"{name}({parameter})")
 
     previous = sys.getprofile()
     sys.setprofile(record)
@@ -89,7 +121,14 @@ def unreached() -> frozenset[str]:
         oracle.verify_all(3)
     finally:
         sys.setprofile(previous)
-    return frozenset(name for name, code in public_callables().items() if code not in called)
+    unreached = frozenset(
+        name for name, function in callables.items() if function.__code__ not in called
+    )
+    return unreached, frozenset(set_options)
+
+
+def unreached() -> frozenset[str]:
+    return profiled()[0]
 
 
 def test_the_requests_take_every_leaf_in_every_format():
@@ -112,3 +151,16 @@ def test_every_allowlist_entry_is_a_public_callable_that_nothing_reaches():
     reached = sorted(ALLOWLIST.keys() - unreached())
     assert not reached, f"allowlisted but reached: {', '.join(reached)}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_every_option_is_set_by_a_request_or_claim():
+    # __init__ is left out: a value's fields are not options
+    set_options = profiled()[1]
+    unset = sorted(
+        option
+        for name, function in public_callables().items()
+        if name not in ALLOWLIST
+        for option in (f"{name}({parameter})" for parameter in options(function))
+        if option not in set_options
+    )
+    assert not unset, f"no request or claim sets {', '.join(unset)}"
