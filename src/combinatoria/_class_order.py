@@ -3,9 +3,9 @@
 It lives apart from ``partitions`` so that ``dataclasses`` (which imports
 ``inspect``, ``ast``, ``dis`` and ``tokenize``) is loaded the first time a
 ``ClassOrder`` is needed, not by every interpreter that imports the package.
-``partitions.ClassOrder`` and ``combinatoria.ClassOrder`` resolve to this
-class on first use, and ``partitions.class_order`` binds
-``_trusted_class_order`` on its first call.
+``combinatoria.ClassOrder``, the class's one public name, resolves to it on
+first use, and ``partitions.class_order`` loads ``_trusted_class_order`` on
+its first call, through one cached loader.
 """
 from __future__ import annotations
 

@@ -92,8 +92,16 @@ class _Census(NamedTuple):
     rotations: frozenset[tuple[int, ...]]
 
 
-@lru_cache(maxsize=None)
 def _census(n: int) -> _Census:
+    # n is read before the cached walk, whose key must hash
+    n = refuse_past("S_n walk", n)
+    if n < 1:
+        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    return _walk(n)
+
+
+@lru_cache(maxsize=None)
+def _walk(n: int) -> _Census:
     # One pass over S_n counts each partition of the points into cycles, keyed
     # by its orbit masks (canonical, the cycles listed by least point; Bell(n)
     # keys, 4140 at n = 8); a second keeps each arrangement rotated to put 1
@@ -102,9 +110,6 @@ def _census(n: int) -> _Census:
     # cycle_types counts each multiset of cycle lengths; fixed[m] counts the
     # permutations whose fixed points (the single-bit masks) are exactly the
     # mask m; invariant[m] those for which m is a union of cycles.
-    n = refuse_past("S_n walk", n)
-    if n < 1:
-        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
     points = range(1, n + 1)
     by_partition = Counter(map(_orbit_masks, itertools.permutations(points)))
     rotations = {
@@ -177,6 +182,8 @@ def count_two_part_by_enumeration(n: int) -> int:
 def count_derangements_by_filter(m: int) -> int:
     """Permutations of m points without fixed points, read off the census."""
     m = refuse_past("S_n walk", m)
+    if m < 0:
+        raise InvariantViolationError("derangements are defined for m >= 0")
     if m == 0:
         return 1
     return _census(m).fixed[0]
@@ -202,7 +209,7 @@ def _first_difference(where: str, listed: Iterable, expected: Iterable) -> Itera
 def _check_class_orders(top: int) -> Iterator[str]:
     for n in range(1, top + 1):
         census = cycle_type_census(n)
-        types = partitions.cycle_types_of(n)
+        types = list(partitions.cycle_types_of(n))  # walked twice
         # the listing steps ZS1's order on count vectors: reverse
         # lexicographic on the descending cycle lengths
         yield from _first_difference(

@@ -13,15 +13,15 @@ TAOCP 7.2.1.4, so no class's parts are listed or counted.
 
 ``ClassOrder``, the value ``class_order`` returns, is defined in
 ``combinatoria._class_order`` with ``dataclasses``, which that module alone
-imports.  ``partitions.ClassOrder`` resolves to it on first use (a module
-``__getattr__``), so importing this module loads no ``dataclasses``, and
-pickles that name ``combinatoria.partitions.ClassOrder`` still load.
+imports; its public name is ``combinatoria.ClassOrder``.  ``class_order``
+loads that module on its first call, so importing this one loads no
+``dataclasses``.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._value import Value
@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Partition",
-    "ClassOrder",
     "enumerate_partitions",
     "count_partitions",
     "two_part_count",
@@ -197,28 +196,13 @@ def two_part_count(n: int) -> int:
     return n // 2
 
 
-def __getattr__(name: str):
-    if name == "ClassOrder":
-        from ._class_order import ClassOrder
+@lru_cache(maxsize=1)
+def _class_order_builder():
+    # imported on the first call only, which loads dataclasses: an import
+    # statement in class_order itself would cost about 1.5 us on every call
+    from ._class_order import _trusted_class_order
 
-        return ClassOrder
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _first_class_order(degree: int, cycle_type: CycleType, order: int) -> ClassOrder:
-    """Bind the trusted builder in place of this function, then build through it.
-
-    ``class_order`` calls whatever ``_new_class_order`` names, so it runs an
-    import statement on its first call only: one costs about 1.5 us on
-    CPython 3.11, nearly as much as a whole call for a class of S_6.
-    """
-    global _new_class_order
-    from ._class_order import _trusted_class_order as _new_class_order
-
-    return _new_class_order(degree, cycle_type, order)
-
-
-_new_class_order = _first_class_order
+    return _trusted_class_order
 
 
 @lru_cache(maxsize=1)
@@ -246,7 +230,7 @@ def class_order(t: CycleType) -> ClassOrder:
     for i in compress(range(1, n + 1), alpha):
         a = alpha[i - 1]
         denominator *= i if a == 1 else i**a * math.factorial(a)
-    return _new_class_order(n, t, _factorial_of_degree(n) // denominator)
+    return _class_order_builder()(n, t, _factorial_of_degree(n) // denominator)
 
 
 def partition_to_cycle_type(p: Partition) -> CycleType:
@@ -259,12 +243,14 @@ def partition_to_cycle_type(p: Partition) -> CycleType:
     return _trusted_cycle_type(n, _alpha(n, p.parts))
 
 
-def cycle_types_of(n: int) -> list[CycleType]:
-    """One cycle type per conjugacy class of S_n; there are p(n) of them.
+def cycle_types_of(n: int) -> Iterator[CycleType]:
+    """Stream one cycle type per conjugacy class of S_n; there are p(n) of them.
 
     Ordered like enumerate_partitions(n): the full n-cycle class first, the
     identity class last.  The counts are stepped from class to class, never
-    counted off a list of parts.
+    counted off a list of parts, and only the current class is held: the
+    result is a generator, read once, and ``count_partitions(n)`` is its
+    length.  A bad or oversized n is refused on the call, before any class.
 
     >>> [t.alpha for t in cycle_types_of(4)]
     [(0, 0, 0, 1), (1, 0, 1, 0), (0, 2, 0, 0), (2, 1, 0, 0), (4, 0, 0, 0)]
@@ -273,4 +259,4 @@ def cycle_types_of(n: int) -> list[CycleType]:
     if n < 1:
         raise InvariantViolationError("S_n needs n >= 1")
     # each walked alpha is a partition of n: it weighs up to n
-    return list(map(_trusted_cycle_type, repeat(n), _descending_alphas(n)))
+    return (_trusted_cycle_type(n, alpha) for alpha in _descending_alphas(n))

@@ -294,7 +294,8 @@ def solve(
     Reserved ids return a ProblemResult with a not-specified status instead
     of a fabricated answer.
     """
-    if problem_id not in PROBLEM_TITLES:
+    # compared, not hashed: an unhashable id is an unknown one too
+    if problem_id not in tuple(PROBLEM_TITLES):
         raise InvariantViolationError(
             f"unknown problem id {shown(problem_id)}; use 1..12 or {SIMPLICITER!r}"
         )

@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 import combinatoria.partitions as partitions_mod
+from combinatoria import ClassOrder
 from combinatoria.caput import CaputSpec, HeadMode, count_caput, enumerate_caput
 from combinatoria.genealogy import coordinates, personae_count
 from combinatoria.oracle import (
@@ -27,7 +28,6 @@ from combinatoria.oracle import (
     verify_all,
 )
 from combinatoria.partitions import (
-    ClassOrder,
     Partition,
     class_order,
     count_partitions,
@@ -85,7 +85,7 @@ def test_criterion_03_class_orders_vs_oracle_and_class_equation():
     t0 = time.perf_counter()
     for n in range(1, 8):
         census = cycle_type_census(n)
-        types = cycle_types_of(n)
+        types = list(cycle_types_of(n))
         assert len(types) == len(census)
         for t in types:
             assert class_order(t).order == census[t.cycle_lengths()]

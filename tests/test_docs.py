@@ -1,13 +1,17 @@
 """The examples in the docstrings and in the README run and print what they show."""
+import contextlib
 import doctest
 import importlib
+import io
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import pytest
 
 import combinatoria
+from combinatoria.cli import main
 
 MODULES = ["combinatoria"] + [
     f"combinatoria.{info.name}" for info in pkgutil.iter_modules(combinatoria.__path__)
@@ -27,3 +31,21 @@ def test_readme_session():
     test = doctest.DocTestParser().get_doctest(block, {}, "README", str(README), 0)
     result = doctest.DocTestRunner().run(test)
     assert result.failed == 0 and result.attempted > 0
+
+
+def test_readme_cli_block(monkeypatch):
+    # each line runs in-process and exits 0; a trailing comment that is a bare
+    # integer is a whitespace-separated token of what the line prints
+    monkeypatch.delenv("COMBINATORIA_FORMAT", raising=False)
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("combinatoria ")]
+    checked = []
+    for line in block.splitlines():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        comment = line.partition("#")[2].strip()
+        if comment.isdigit():
+            assert comment in out.getvalue().split(), line
+            checked.append(comment)
+    assert checked, "no line of the block states a count"

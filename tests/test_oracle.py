@@ -11,6 +11,7 @@ import combinatoria.genealogy as genealogy_mod
 import combinatoria.oracle as oracle_mod
 import combinatoria.partitions as partitions_mod
 import combinatoria.problems as problems_mod
+from combinatoria import ClassOrder
 from combinatoria.caput import HeadMode
 from combinatoria.errors import (
     CEILINGS,
@@ -27,7 +28,6 @@ from combinatoria.oracle import (
     rotation_class_census,
     verify_all,
 )
-from combinatoria.partitions import ClassOrder
 
 from conftest import all_perms, naive_fixed_points
 
@@ -136,7 +136,9 @@ class TestFilterCounters:
     def test_the_walk_imports_nothing_it_checks(self):
         # the cycle walk is the oracle's own: no closed-form module, nor the
         # permutation and head types, is reached from the census
-        census_names = _walk_names(oracle_mod._census.__wrapped__.__code__)
+        census_names = _walk_names(oracle_mod._census.__code__) | _walk_names(
+            oracle_mod._walk.__wrapped__.__code__
+        )
         assert "_orbit_masks" in census_names
         names = census_names | _walk_names(oracle_mod._orbit_masks.__code__)
         forbidden = {
@@ -156,6 +158,11 @@ class TestFilterCounters:
     def test_censuses_refuse_past_the_ceiling(self, census):
         with pytest.raises(EnumerationTooLargeError, match=str(SN_CEILING)):
             census(SN_CEILING + 1)
+
+    @pytest.mark.parametrize("count", [caput_mod.derangements, count_derangements_by_filter])
+    def test_a_negative_m_is_refused_as_the_closed_form_refuses_it(self, count):
+        with pytest.raises(InvariantViolationError, match=r"^derangements are defined for m >= 0$"):
+            count(-1)
 
 
 class TestOracleReport:
@@ -244,14 +251,15 @@ MUTATIONS = {
     "cycle_types_of": (
         partitions_mod, "cycle_types_of",
         # the identity class dropped, the n-cycle class listed twice
-        lambda f: lambda n: f(n)[:-1] + f(n)[:1] if n >= 4 else f(n), 4,
+        lambda f: lambda n: list(f(n))[:-1] + list(f(n))[:1] if n >= 4 else f(n), 4,
         {
             "class-order formula vs cycle-type census":
                 "n=4: item 4 listed (4,), expected (1, 1, 1, 1)",
         },
     ),
     "cycle_types_of reversed": (
-        partitions_mod, "cycle_types_of", lambda f: lambda n: f(n)[::-1] if n == 4 else f(n), 4,
+        partitions_mod, "cycle_types_of",
+        lambda f: lambda n: list(f(n))[::-1] if n == 4 else f(n), 4,
         {
             "class-order formula vs cycle-type census":
                 "n=4: item 0 listed (1, 1, 1, 1), expected (4,)",

@@ -2,14 +2,15 @@ import itertools
 import math
 import threading
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from combinatoria import ClassOrder
 from combinatoria.errors import CEILINGS, EnumerationTooLargeError, InvariantViolationError
 from combinatoria.partitions import (
-    ClassOrder,
     Partition,
     class_order,
     count_partitions,
@@ -209,7 +210,10 @@ class TestClassOrder:
 class TestCycleTypesOf:
     @pytest.mark.parametrize("n,expected", [(1, 1), (3, 3), (6, 11)])
     def test_one_class_per_partition(self, n, expected):
-        assert len(cycle_types_of(n)) == expected
+        assert len(list(cycle_types_of(n))) == expected
+
+    def test_the_listing_is_a_generator(self):
+        assert isinstance(cycle_types_of(3), types.GeneratorType)
 
     def test_every_type_is_well_formed(self):
         for t in cycle_types_of(10):
@@ -257,7 +261,7 @@ def _text_over_every_length(t: CycleType) -> str:
 class TestListingAgainstSecondRoute:
     def test_listing_equals_validated_types_of_the_partitions(self):
         for n in range(1, 31):
-            assert cycle_types_of(n) == [
+            assert list(cycle_types_of(n)) == [
                 CycleType.from_cycle_lengths(n, p.parts) for p in enumerate_partitions(n)
             ]
 
@@ -288,7 +292,7 @@ class TestListingAgainstSecondRoute:
     def test_class_orders_of_interleaved_degrees(self):
         # n! is kept for the last degree asked: a class of degree 7 between
         # two of degree 5 must not be sized with 5!, nor the next 5 with 7!
-        fives, sevens = cycle_types_of(5), cycle_types_of(7)
+        fives, sevens = list(cycle_types_of(5)), list(cycle_types_of(7))
         interleaved = [t for pair in itertools.zip_longest(fives, sevens) for t in pair if t]
         assert len(interleaved) == len(fives) + len(sevens)
         for t in interleaved:

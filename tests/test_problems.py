@@ -222,6 +222,9 @@ class TestSolve:
     def test_unknown_id(self):
         with pytest.raises(InvariantViolationError):
             solve(13, n=4)
+        # an unhashable id is compared, not looked up
+        with pytest.raises(InvariantViolationError, match=r"^unknown problem id \[1, 2\]; "):
+            solve([1, 2], 4)
 
     def test_witnesses_match_count(self):
         result = solve(4, n=4, with_witnesses=True)

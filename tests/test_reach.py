@@ -17,9 +17,15 @@ The same pass pins options: each defaulted parameter of a public callable
 must be set to a value other than its default by some request or claim.
 An option that nothing sets is deleted, unless its callable is on the
 allowlist.
+
+A submodule's ``__all__`` names only the classes and functions it defines:
+one public name per callable, and the rule by which the benchmark's tracer
+picks each layer's names.  The package ``__init__`` re-exports them.
 """
 import functools
+import importlib
 import inspect
+import pkgutil
 import sys
 
 import combinatoria
@@ -164,3 +170,15 @@ def test_every_option_is_set_by_a_request_or_claim():
         if option not in set_options
     )
     assert not unset, f"no request or claim sets {', '.join(unset)}"
+
+
+def test_each_submodule_all_names_only_what_it_defines():
+    borrowed = sorted(
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(combinatoria.__path__)
+        for module in [importlib.import_module(f"combinatoria.{info.name}")]
+        for name in getattr(module, "__all__", ())
+        if (inspect.isclass(obj := getattr(module, name)) or inspect.isroutine(obj))
+        and obj.__module__ != module.__name__
+    )
+    assert not borrowed, f"defined in another module: {', '.join(borrowed)}"

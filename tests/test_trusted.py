@@ -27,12 +27,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import combinatoria
+from combinatoria import ClassOrder
 from combinatoria.caput import CaputSpec, HeadMode, enumerate_caput
 from combinatoria.errors import InvariantViolationError
 from combinatoria.genealogy import TreeCoordinate, coordinates
 from combinatoria.oracle import OracleReport
 from combinatoria.partitions import (
-    ClassOrder,
     Partition,
     class_order,
     cycle_types_of,
