@@ -68,7 +68,7 @@ CEILINGS = MappingProxyType({
     ),
     # 9! = 362,880 permutations: the census of S_9 takes about 1.4 CPU s
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
-    # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.64 s, 50 MB RSS
+    # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.64 s, 47 MB RSS
     "verify sweep": Ceiling(8, "the max_n of a verification sweep", "a smaller max_n"),
     # p(57) = 614,154 partitions walked one by one: 1.6-2.2 s (n = 60 took 3.7 s)
     "partition walk": Ceiling(57, "the n of a partition walk", "count_partitions"),

@@ -16,6 +16,7 @@ the oracle, which compares the two, sees a wrong rank count on either route.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from ._value import Value
 from .errors import InvariantViolationError, refuse_past, shown
@@ -71,12 +72,27 @@ def personae_count(gradus: int) -> int:
     return 2**gradus * (gradus + 1)
 
 
+class _Layout:
+    # the listing's pairs with their count as a length, so that list() of it
+    # allocates once, at its final size; the length is only a size hint, the
+    # list holds exactly what the iterator yields
+    __slots__ = ("paths", "ranks")
+
+    def __init__(self, gradus: int) -> None:
+        self.paths, self.ranks = range(2**gradus), range(gradus + 1)
+
+    def __len__(self) -> int:
+        return len(self.paths) * len(self.ranks)
+
+    def __iter__(self) -> Iterator[TreeCoordinate]:
+        return itertools.starmap(TreeCoordinate, itertools.product(self.paths, self.ranks))
+
+
 def coordinates(gradus: int) -> list[TreeCoordinate]:
     """All person coordinates at the given degree under the v1 layout.
 
     Ordered pairs come out in lexicographic order, so (a, b) precedes (b, a)
-    whenever a < b and both occur.  The list length is personae_count(gradus).
+    whenever a < b and both occur.  The list length is personae_count(gradus),
+    and the list is allocated once, at that length.
     """
-    gradus = _check_gradus(gradus, "coordinate listing")
-    pairs = itertools.product(range(2**gradus), range(gradus + 1))
-    return list(itertools.starmap(TreeCoordinate, pairs))
+    return list(_Layout(_check_gradus(gradus, "coordinate listing")))

@@ -380,6 +380,22 @@ MESSAGE_SITES = {
         "head positions [5] outside 1..4",
         lambda: CaputSpec.fixing_symbols(4, [HUGE]),
     ),
+    # the oracle reads its head and mode as CaputSpec does
+    "count_caput_by_filter head": (
+        lambda: oracle.count_caput_by_filter(3, frozenset({10}), HeadMode.LOOSE),
+        "head positions [10] outside 1..3",
+        lambda: oracle.count_caput_by_filter(3, frozenset({HUGE}), HeadMode.LOOSE),
+    ),
+    "count_caput_by_filter head no collection": (
+        lambda: oracle.count_caput_by_filter(3, 5, HeadMode.LOOSE),
+        "the positions of a head must be a collection of whole numbers, got 5",
+        lambda: oracle.count_caput_by_filter(3, HUGE, HeadMode.LOOSE),
+    ),
+    "count_caput_by_filter mode": (
+        lambda: oracle.count_caput_by_filter(3, frozenset({1}), "bogus"),
+        "a head's mode must be loose, exact or setwise, got 'bogus'",
+        lambda: oracle.count_caput_by_filter(3, frozenset({1}), HUGE),
+    ),
     "satisfies": (
         lambda: caput.satisfies(CaputSpec(2), perm.Permutation((1,))),
         "permutation of degree 1 against a head over 1..2",
@@ -460,6 +476,9 @@ NOT_WHOLE = {
     "rotation_class_census text": lambda: oracle.rotation_class_census("3"),
     "count_caput_by_filter text": (
         lambda: oracle.count_caput_by_filter("3", frozenset(), HeadMode.LOOSE)
+    ),
+    "count_caput_by_filter head": (
+        lambda: oracle.count_caput_by_filter(3, frozenset({1.5}), HeadMode.LOOSE)
     ),
     "count_derangements_by_filter text": lambda: oracle.count_derangements_by_filter("3"),
     "count_partitions_by_enumeration text": (

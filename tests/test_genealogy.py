@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -42,6 +43,14 @@ class TestCoordinates:
     def test_length_matches_person_count(self):
         for gradus in range(13):
             assert len(coordinates(gradus)) == personae_count(gradus)
+
+    def test_list_is_allocated_at_its_length(self):
+        # list() sizes exactly from a length, an odd one rounded up by one
+        # slot; a list grown item by item keeps spare slots at nearly every gradus
+        for gradus in range(13):
+            coords = coordinates(gradus)
+            m = len(coords) + len(coords) % 2
+            assert sys.getsizeof(coords) == sys.getsizeof([None] * m), gradus
 
     def test_no_duplicate_pairs_up_to_10(self):
         for gradus in range(11):
