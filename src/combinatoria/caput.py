@@ -110,7 +110,7 @@ class CaputSpec(Value):
 
     @classmethod
     def parse_head(
-        cls, degree: int, text: str, mode: HeadMode = HeadMode.LOOSE
+        cls, degree: int, text: str, mode: HeadMode | str = HeadMode.LOOSE
     ) -> "CaputSpec":
         """Parse the CLI syntax ``1=a,3=c`` (empty string: empty head).
 
@@ -380,37 +380,25 @@ def _point(symbol: int | str) -> int:
     return symbol_to_point(str(symbol))
 
 
-def _normalize_sub(sub: CaputSpec | Mapping[int, str | int]) -> dict[int, int]:
-    if isinstance(sub, CaputSpec):
-        return {i: i for i in sub.head}
+def _normalize_sub(sub: Mapping[int, str | int]) -> dict[int, int]:
     if not isinstance(sub, Mapping):
         raise InvariantViolationError(
-            f"a head to test must be a CaputSpec or a mapping of positions to occupants,"
-            f" got {shown(sub)}"
+            f"a head to test must be a mapping of positions to occupants, got {shown(sub)}"
         )
-    return {_position(pos): _point(sym) for pos, sym in sub.items()}
-
-
-def _position(pos: int | str) -> int:
-    """A position of ``sub``: an int, its decimal text or a whole float like 1.0."""
-    try:
-        point = int(pos)
-    except (TypeError, ValueError, OverflowError):
-        point = None
-    if point is None or (point != pos and not isinstance(pos, str)):
-        raise InvariantViolationError(f"head position {shown(pos)} is not a whole number")
-    return point
+    return {whole("a head position", pos): _point(sym) for pos, sym in sub.items()}
 
 
 def is_caput_of(
-    sub: CaputSpec | Mapping[int, str | int], whole: str | Sequence[int | str] | Permutation
+    sub: Mapping[int, str | int], whole: str | Sequence[int | str] | Permutation
 ) -> bool:
     """Position-respecting containment: is the smaller arrangement a head of the larger?
 
-    True iff every (position, occupant) pair of ``sub`` is realized by
-    ``whole``.  An empty sub is vacuously a head of anything.  Positions or
-    occupants outside the larger arrangement's ground set are a mismatch
-    error, not a False.
+    True iff every (position, occupant) pair of the mapping ``sub`` is
+    realized by ``whole``.  An empty sub is vacuously a head of anything.
+    Positions are read as ``CaputSpec`` reads its own, as whole numbers, so
+    ``1.0`` and ``"1"`` are refused; a ``CaputSpec`` is refused too, since
+    ``satisfies`` tests a spec in its mode.  Positions or occupants outside
+    the larger arrangement's ground set are a mismatch error, not a False.
     """
     arrangement = _normalize_arrangement(whole)
     n = len(arrangement)

@@ -10,10 +10,9 @@ only the output of the format asked for:
 - ``--format csv``: a header row plus data rows, written to stdout row by
   row; non-numeric fields quoted.
 
-The default format can be preset with the COMBINATORIA_FORMAT environment
-variable.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-141 stdout closed by its reader (as a shell reports a writer stopped by
-SIGPIPE; nothing is added to stderr).
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
+closed by its reader (as a shell reports a writer stopped by SIGPIPE;
+nothing is added to stderr).
 
 Every command and leaf is one row of ``_COMMANDS``.  To add a leaf, write its
 ``_cmd_*`` handler, which returns the JSON result or (header, rows), and add
@@ -45,13 +44,7 @@ from .perm import (
 )
 
 FORMAT_VERSION = "1"
-FORMAT_ENV_VAR = "COMBINATORIA_FORMAT"
 FORMATS = ("human", "json", "csv")
-
-
-def _default_format() -> str:
-    value = os.environ.get(FORMAT_ENV_VAR, "human").strip().lower()
-    return value if value in FORMATS else "human"
 
 
 _PERM_HEADER = ["one_line", "cycles", "cycle_type"]
@@ -170,11 +163,6 @@ def _cmd_classes(args) -> _Answer:
     }
 
 
-def _caput_spec_from_args(args) -> CaputSpec:
-    mode = HeadMode(args.mode)
-    return CaputSpec.parse_head(args.n, args.head, mode)
-
-
 def _caput_echo(spec: CaputSpec) -> dict:
     return {
         "degree": spec.degree,
@@ -184,7 +172,7 @@ def _caput_echo(spec: CaputSpec) -> dict:
 
 
 def _cmd_caput_count(args) -> _Answer:
-    spec = _caput_spec_from_args(args)
+    spec = CaputSpec.parse_head(args.n, args.head, args.mode)
     count = count_caput(spec)
     if args.format != "json":
         head = ",".join(map(str, sorted(spec.head)))
@@ -193,7 +181,7 @@ def _cmd_caput_count(args) -> _Answer:
 
 
 def _cmd_caput_enumerate(args) -> _Answer:
-    spec = _caput_spec_from_args(args)
+    spec = CaputSpec.parse_head(args.n, args.head, args.mode)
     perms = enumerate_caput(spec)
     if args.format != "json":
         return _PERM_HEADER, map(_perm_row, perms)
@@ -384,8 +372,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """
     format_keywords = {
         "choices": FORMATS,
-        "default": _default_format(),
-        "help": f"output format (default from ${FORMAT_ENV_VAR}, else human)",
+        "default": "human",
+        "help": "output format (default human)",
     }
     parser = argparse.ArgumentParser(
         prog="combinatoria",

@@ -45,7 +45,9 @@ class Ceiling(NamedTuple):
     fallback: str  # what still works past it
 
 
-# Each comment gives the size of the request at the ceiling itself.
+# Each comment gives the size of the request at the ceiling itself, and its CPU s
+# (and peak RSS) over 3-8 runs of one child, by os.wait4, or of a step in it, by
+# process_time (Python 3.11.7, one core of a 2-core x86-64 Xeon, October 2026).
 CEILINGS = MappingProxyType({
     # an image of 100,000 points, named by cycle text as short as "(1 100000)"
     "cycle degree": Ceiling(100_000, "the degree of a permutation from cycles", "parse_one_line"),
@@ -53,7 +55,8 @@ CEILINGS = MappingProxyType({
     "permutation degree": Ceiling(100_000, "the degree of a permutation", "a smaller degree"),
     # p(120) = 1,844,349,560 partitions
     "partition listing": Ceiling(120, "the n of a partition listing", "count_partitions"),
-    # a table of 100,001 exact integers: p(100000) took 10.5 CPU s and 29 MB RSS
+    # a table of 100,001 exact integers: partitions count --n 100000 takes
+    # 5.1-6.8 s and 29 MB RSS
     "partition count": Ceiling(100_000, "the n of a partition count", "two_part_count"),
     # 12! = 479,001,600 permutations
     "head enumeration": Ceiling(12, "the degree of a head enumeration", "count_caput"),
@@ -62,41 +65,40 @@ CEILINGS = MappingProxyType({
     # (10-1)! = 362,880 representatives
     "vicinity listing": Ceiling(10, "the n of a vicinity class listing", "vicinity_variations"),
     # 1000 witnesses of 1000 points: problems solve --id 4 --n 1000 --witnesses
-    # --format json takes 0.37 CPU s and 111 MB RSS (--n 3000: 1.0 s, 306 MB)
+    # --format json takes 0.48-0.50 s and 111 MB RSS
     "witness points": Ceiling(
         1_000, "the points of one problem witness", "problems solve without witnesses"
     ),
-    # 9! = 362,880 permutations: the census of S_9 takes about 1.4 CPU s
+    # 9! = 362,880 permutations: the census of S_9 takes 0.72-0.80 s
     "S_n walk": Ceiling(9, "the degree of a walk of S_n", "every closed form"),
-    # S_8 and gradus 0..15: the benchmark's verify_all(8) takes 0.64 s, 47 MB RSS
+    # S_8 and gradus 0..15: verify --max-n 8 takes 0.80-0.90 s, 46 MB RSS
     "verify sweep": Ceiling(8, "the max_n of a verification sweep", "a smaller max_n"),
-    # p(57) = 614,154 partitions walked one by one: 1.6-2.2 s (n = 60 took 3.7 s)
+    # p(57) = 614,154 partitions walked one by one: 1.2-1.6 s (n = 60 took 2.1-2.6 s)
     "partition walk": Ceiling(57, "the n of a partition walk", "count_partitions"),
     # 30,000,000 candidate pairs (a, n - a): 1.6-1.8 s
     "pair listing": Ceiling(30_000_000, "the n of a two-part pair listing", "two_part_count"),
-    # 3501 terms C(m, j) * (m - j)! at m = 3500: 1.25-1.45 s (m = 4000 took 2.3-2.5 s)
+    # 3501 terms C(m, j) * (m - j)! at m = 3500: 1.07-1.14 s (m = 4000 took 1.6-1.7 s)
     "inclusion-exclusion sum": Ceiling(
         3_500, "the m of an inclusion-exclusion derangement sum", "derangements"
     ),
-    # C(6325, 2) = 19,999,650 heads, listed at 13-15 M heads/s for k = 2..4:
-    # problems reduce --id 1 --k 2 1.55 s, and 1.56 s at C(149, 4) = 19,720,001
+    # C(6325, 2) = 19,999,650 heads, listed at 18-22 M heads/s for k = 2 and 4:
+    # problems reduce --id 1 --k 2 0.91-0.99 s, and 1.00-1.02 s at C(149, 4) = 19,720,001
     "reduction heads": Ceiling(
         20_000_000, "the number of heads C(n, k) a reduction lists", "problems solve"
     ),
     # The count rows keep the largest count to about 2 CPU s, computed and
-    # printed in decimal (Python 3.11, one core of a 2-core x86-64 box).  Each
-    # comment ends with the CPU s of the CLI request at the row, in any format:
-    # every format converts the count to decimal once.
-    # 50000! has 213,237 digits: 0.04 s to compute, 0.67 s to print; caput count 0.9-1.0 s
+    # printed in decimal.  Each comment ends with the CPU s of the CLI request
+    # at the row, in csv; every format converts the count to decimal once.
+    # 50000! has 213,237 digits: 0.04-0.06 s to compute, 0.71 s to print; caput count 0.81 s
     "factorial count": Ceiling(50_000, "the m of a factorial count m!", "a smaller m"),
-    # D(50000) has 213,237 digits: 0.95 s to compute, 0.69 s to print;
-    # caput count --mode exact 2.4-2.7 s
+    # D(50000) has 213,237 digits: 0.93-1.56 s to compute, 0.69-0.75 s to print;
+    # caput count --mode exact 1.6-2.0 s
     "derangement count": Ceiling(50_000, "the m of a derangement count D(m)", "a smaller m"),
-    # the personae count 2^1000000 * 1000001 has 301,036 digits: 1.39 s to print;
-    # genealogy personae 1.7 s
+    # the personae count 2^1000000 * 1000001 has 301,036 digits: 1.40-1.43 s to
+    # print; genealogy personae 1.45-1.46 s
     "power-of-two count": Ceiling(1_000_000, "the n of a power-of-two count 2^n", "a smaller n"),
-    # C(300000, 150000) has 90,307 digits: 1.34 s to compute, 0.14 s to print;
-    # problems solve --id 1 --k 150000 1.8 s
+    # C(300000, 150000) has 90,307 digits: 1.02-1.17 s to compute, 0.12 s to print;
+    # problems solve --id 1 --k 150000 1.18-1.22 s
     "binomial count": Ceiling(300_000, "the n of a binomial count C(n, k)", "a smaller n"),
 })
 

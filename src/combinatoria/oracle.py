@@ -338,7 +338,7 @@ def _check_genealogy(top: int) -> Iterator[str]:
             )
         del coords
         if listed != closed:
-            yield f"gradus={n}: count {closed}, listed {listed}, distinct {listed}"
+            yield f"gradus={n}: count {closed}, listed {listed}"
 
 
 # (claim, range label up to its top, top as a function of max_n, check)

@@ -224,17 +224,6 @@ class CycleType(Value):
         _set_degree(self, degree)
         _set_alpha(self, alpha)
 
-    @classmethod
-    def from_cycle_lengths(cls, degree: int, lengths: Iterable[int]) -> "CycleType":
-        refuse_past("permutation degree", degree)
-        lengths = wholes("the cycle lengths", lengths)
-        for length in lengths:
-            if not 1 <= length <= degree:
-                raise InvariantViolationError(
-                    f"cycle length {shown(length)} outside 1..{degree}"
-                )
-        return cls(degree, _alpha(degree, lengths))
-
     def cycle_lengths(self) -> tuple[int, ...]:
         """Cycle lengths in non-increasing order (a partition of the degree)."""
         alpha = self.alpha
@@ -366,8 +355,9 @@ def fixed_points(p: Permutation) -> frozenset[int]:
 def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
     """Rebuild a permutation from disjoint cycles.
 
-    The degree is the largest point mentioned, and points absent from every
-    cycle are fixed; a degree past the "cycle degree" row of ``CEILINGS`` is
+    Each cycle needs at least one point, as a ``Cycle`` does.  The degree is
+    the largest point mentioned, and points absent from every cycle are
+    fixed; a degree past the "cycle degree" row of ``CEILINGS`` is
     refused before the image is built.
     """
     try:
@@ -380,6 +370,8 @@ def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
         raise InvariantViolationError(
             f"cycles must be collections of whole-number points, got {shown(cycles)}"
         ) from None
+    if not all(cycle_list):
+        raise InvariantViolationError("a cycle needs at least one point")
     if not mentioned:
         raise InvalidDegreeError("cannot infer a degree from an empty cycle list")
     if len(points) != len(mentioned):
@@ -393,7 +385,7 @@ def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
             if not 1 <= x <= n:
                 raise InvariantViolationError(f"point {shown(x)} outside 1..{n}")
     image = list(range(1, n + 1))
-    for pts in filter(None, cycle_list):
+    for pts in cycle_list:
         # each point goes to the next; the walk starts at the last, which goes to the first
         x = pts[-1]
         for y in pts:

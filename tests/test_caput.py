@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -470,10 +471,14 @@ class TestIsCaputOf:
         assert not is_caput_of({1: "a"}, "badc")
 
     def test_caput_spec_as_sub(self):
-        spec = CaputSpec.fixing_symbols(4, "ac")
-        assert is_caput_of(spec, "abcd")
-        assert is_caput_of(spec, "adcb")  # a and c both in place
-        assert not is_caput_of(spec, "abdc")  # d took c's place
+        # the mapping form of the head {1, 3}: a spec is refused, since its
+        # mode would be dropped; satisfies tests a spec
+        sub = {1: "a", 3: "c"}
+        assert is_caput_of(sub, "abcd")
+        assert is_caput_of(sub, "adcb")  # a and c both in place
+        assert not is_caput_of(sub, "abdc")  # d took c's place
+        with pytest.raises(InvariantViolationError, match="must be a mapping .*, got CaputSpec"):
+            is_caput_of(CaputSpec.fixing_symbols(4, "ac"), "abcd")
 
     def test_position_outside_ground_set(self):
         with pytest.raises(GroundSetMismatchError):
@@ -483,21 +488,24 @@ class TestIsCaputOf:
         with pytest.raises(GroundSetMismatchError):
             is_caput_of({1: "e"}, "abcd")
 
-    @pytest.mark.parametrize("pos", [1, "1", 1.0])
+    @pytest.mark.parametrize("pos", [1, True])
     def test_whole_positions_in_any_form(self, pos):
         assert is_caput_of({pos: "a"}, "abc")
         assert not is_caput_of({pos: "b"}, "abc")
 
-    @pytest.mark.parametrize("pos", [1.9, "x", "1.5", float("inf"), None])
+    @pytest.mark.parametrize("pos", [1.9, "x", "1.5", float("inf"), None, "1", 1.0])
     def test_position_that_is_no_whole_number_is_named(self, pos):
-        with pytest.raises(InvariantViolationError, match=f"head position {pos!r} "):
+        message = f"^a head position must be a whole number, got {re.escape(repr(pos))}$"
+        with pytest.raises(InvariantViolationError, match=message):
             is_caput_of({pos: "a"}, "abc")
 
     @pytest.mark.parametrize(
         "sub, whole, message",
-        [(5, "abc", "a head to test must be a CaputSpec or a mapping .*, got 5$"),
-         ("3", "abc", "a head to test must be a CaputSpec or a mapping .*, got '3'$"),
-         ({1: "a"}, 5, "^an arrangement must be a collection of symbols, got 5$")],
+        [(5, "abc", "a head to test must be a mapping .*, got 5$"),
+         ("3", "abc", "a head to test must be a mapping .*, got '3'$"),
+         ({1: "a"}, 5, "^an arrangement must be a collection of symbols, got 5$"),
+         (CaputSpec(3, {1}, HeadMode.EXACT), "abc",
+          "a head to test must be a mapping .*, got CaputSpec")],
     )
     def test_sub_or_whole_of_another_kind_is_named(self, sub, whole, message):
         with pytest.raises(InvariantViolationError, match=message):
@@ -507,6 +515,20 @@ class TestIsCaputOf:
         p = Permutation((2, 1, 3))
         assert is_caput_of({3: 3}, p)
         assert not is_caput_of({1: 1}, p)
+
+    def test_agrees_with_satisfies_on_every_loose_head_up_to_5(self):
+        # every head H of 1..n as the mapping {i: i}, against every p of S_n:
+        # 2 + 8 + 48 + 384 + 3840 = 4282 cases
+        cases = 0
+        for n in range(1, 6):
+            perms = [Permutation(image) for image in all_perms(n)]
+            for k in range(n + 1):
+                for head in itertools.combinations(range(1, n + 1), k):
+                    spec, sub = CaputSpec(n, head), {i: i for i in head}
+                    for p in perms:
+                        assert is_caput_of(sub, p) == satisfies(spec, p), (head, p)
+                        cases += 1
+        assert cases == 4282
 
 
 class TestSatisfies:

@@ -90,9 +90,6 @@ GUARDS = {
     ),
     # each would allocate by the degree before any other check
     "identity": (perm.identity, DEGREE, "a smaller degree"),
-    "from_cycle_lengths": (
-        lambda n: perm.CycleType.from_cycle_lengths(n, []), DEGREE, "a smaller degree"
-    ),
     "partition_to_cycle_type": (
         lambda n: partitions.partition_to_cycle_type(partitions.Partition((n,))),
         DEGREE,
@@ -349,11 +346,6 @@ MESSAGE_SITES = {
         lambda: perm.CycleType(3, (1,)),
         "alpha must be 3 non-negative counts, got (1,)",
         lambda: perm.CycleType(HUGE, (1,)),
-    ),
-    "CycleType.from_cycle_lengths": (
-        lambda: perm.CycleType.from_cycle_lengths(2, [3]),
-        "cycle length 3 outside 1..2",
-        lambda: perm.CycleType.from_cycle_lengths(2, [HUGE]),
     ),
     "from_cycles point": (
         lambda: perm.from_cycles([(5, -7)]),

@@ -387,11 +387,12 @@ class TestClosedPipe:
 
 
 class TestEnvironmentDefault:
-    def test_env_var_selects_json(self, capsys, monkeypatch):
+    """The format comes from argv alone: the environment presets none."""
+
+    def test_env_var_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("COMBINATORIA_FORMAT", "json")
-        code = main(["partitions", "count", "--n", "6"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["result"]["count"] == "11"
+        code, out, _ = run(capsys, "partitions", "count", "--n", "6")
+        assert (code, out) == (0, "n  count\n-  -----\n6  11\n")
 
     def test_bogus_env_value_falls_back_to_human(self, capsys, monkeypatch):
         monkeypatch.setenv("COMBINATORIA_FORMAT", "xml")
@@ -547,8 +548,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
 """),
     'perm inverse --help': (0, """\
 usage: combinatoria perm inverse [-h] [--format {human,json,csv}] p
@@ -559,8 +559,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
 """),
     'perm cycles --help': (0, """\
 usage: combinatoria perm cycles [-h] [--format {human,json,csv}] p
@@ -571,8 +570,7 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
 """),
     'partitions --help': (0, """\
 usage: combinatoria partitions [-h] {count,list,two-part} ...
@@ -592,8 +590,7 @@ usage: combinatoria partitions count [-h] [--format {human,json,csv}] --n N
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N
 """),
     'partitions list --help': (0, """\
@@ -602,8 +599,7 @@ usage: combinatoria partitions list [-h] [--format {human,json,csv}] --n N
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N
 """),
     'partitions two-part --help': (0, """\
@@ -612,8 +608,7 @@ usage: combinatoria partitions two-part [-h] [--format {human,json,csv}] --n N
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N
 """),
     'classes --help': (0, """\
@@ -622,8 +617,7 @@ usage: combinatoria classes [-h] [--format {human,json,csv}] --n N
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N
 """),
     'caput --help': (0, """\
@@ -644,8 +638,7 @@ usage: combinatoria caput count [-h] [--format {human,json,csv}] --n N
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N                 degree
   --head HEAD           comma list like 1=a,3=c; empty for no constraint
   --mode {loose,exact,setwise}
@@ -658,8 +651,7 @@ usage: combinatoria caput enumerate [-h] [--format {human,json,csv}] --n N
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N                 degree
   --head HEAD           comma list like 1=a,3=c; empty for no constraint
   --mode {loose,exact,setwise}
@@ -681,8 +673,7 @@ usage: combinatoria problems solve [-h] [--format {human,json,csv}] --id ID
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --id ID
   --n N
   --k K
@@ -695,8 +686,7 @@ usage: combinatoria problems reduce [-h] [--format {human,json,csv}] --id ID
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --id ID
   --n N
   --k K
@@ -720,8 +710,7 @@ usage: combinatoria genealogy personae [-h] [--format {human,json,csv}]
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --gradus GRADUS
 """),
     'genealogy coords --help': (0, """\
@@ -731,8 +720,7 @@ usage: combinatoria genealogy coords [-h] [--format {human,json,csv}] --gradus
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --gradus GRADUS
 """),
     'genealogy discerptiones --help': (0, """\
@@ -742,8 +730,7 @@ usage: combinatoria genealogy discerptiones [-h] [--format {human,json,csv}]
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --n N
 """),
     'verify --help': (0, """\
@@ -752,8 +739,7 @@ usage: combinatoria verify [-h] [--format {human,json,csv}] [--max-n MAX_N]
 options:
   -h, --help            show this help message and exit
   --format {human,json,csv}
-                        output format (default from $COMBINATORIA_FORMAT, else
-                        human)
+                        output format (default human)
   --max-n MAX_N
 """),
     'frobnicate': (2, """\
@@ -785,7 +771,6 @@ class TestSurface:
     @pytest.mark.parametrize("argv", SURFACE)
     def test_text_and_exit_code_unchanged(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.delenv("COMBINATORIA_FORMAT", raising=False)
         code, out, err = run(capsys, *argv.split())
         expected_code, text = SURFACE[argv]
         assert code == expected_code

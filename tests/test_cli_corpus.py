@@ -137,7 +137,7 @@ def group_digest(requests: list[list[str]]) -> str:
 
 
 def corpus_digests() -> dict[str, str]:
-    """Every group's digest; needs COLUMNS=80 and no COMBINATORIA_FORMAT set."""
+    """Every group's digest; needs COLUMNS=80."""
     return {group: group_digest(requests) for group, requests in corpus().items()}
 
 
@@ -159,14 +159,13 @@ DIGESTS = {
     "genealogy discerptiones": "25702fc6ecc4ac30bf6839edaf9a74f2121ea59c5358bdc57aa06c9bcfb631d8",
     "verify": "81f16deb2ebe474928646ccc3e212c16fd91a7c819bad77d8dcf6828d9016d39",
     "usage": "bfc61a426060a5b3f8a28bb6a97782328357a7f7a947996bb195435632046eea",
-    "help": "2bd659d7dd3d44c4ef063b9bf015c32e2c28b194363509b524c2114a23e548f9",
+    "help": "8f0a74d8e3694e1dcc114d4b4d261db76c0e9beff6541fe63363cece775fdba7",
 }
 
 
 @pytest.fixture
 def fixed_terminal(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("COMBINATORIA_FORMAT", raising=False)
 
 
 def table_leaves() -> list[list[str]]:

@@ -33,10 +33,9 @@ def test_readme_session():
     assert result.failed == 0 and result.attempted > 0
 
 
-def test_readme_cli_block(monkeypatch):
+def test_readme_cli_block():
     # each line runs in-process and exits 0; a trailing comment that is a bare
     # integer is a whitespace-separated token of what the line prints
-    monkeypatch.delenv("COMBINATORIA_FORMAT", raising=False)
     blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
     (block,) = [b for b in blocks if b.startswith("combinatoria ")]
     checked = []

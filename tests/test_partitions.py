@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import threading
@@ -171,13 +172,13 @@ class TestTwoPart:
 class TestClassOrder:
     def test_full_cycle_class_is_factorial_over_n(self):
         for n in range(1, 9):
-            t = CycleType.from_cycle_lengths(n, [n])
+            t = partition_to_cycle_type(Partition((n,)))
             assert class_order(t).order == math.factorial(n - 1)
-        assert class_order(CycleType.from_cycle_lengths(4, [4])).order == 6
+        assert class_order(partition_to_cycle_type(Partition((4,)))).order == 6
 
     def test_identity_class_is_singleton(self):
         for n in (1, 3, 7):
-            t = CycleType.from_cycle_lengths(n, [1] * n)
+            t = partition_to_cycle_type(Partition((1,) * n))
             assert class_order(t).order == 1
 
     def test_worked_s6_class(self):
@@ -260,10 +261,13 @@ def _text_over_every_length(t: CycleType) -> str:
 
 class TestListingAgainstSecondRoute:
     def test_listing_equals_validated_types_of_the_partitions(self):
+        # each alpha is counted here and read by the validating constructor
         for n in range(1, 31):
-            assert list(cycle_types_of(n)) == [
-                CycleType.from_cycle_lengths(n, p.parts) for p in enumerate_partitions(n)
-            ]
+            validated = []
+            for p in enumerate_partitions(n):
+                counts = collections.Counter(p.parts)
+                validated.append(CycleType(n, [counts[i] for i in range(1, n + 1)]))
+            assert list(cycle_types_of(n)) == validated
 
     def test_readers_equal_loops_over_every_length(self):
         for n in range(1, 31):
@@ -273,9 +277,12 @@ class TestListingAgainstSecondRoute:
                 assert str(t) == _text_over_every_length(t)
 
     def test_two_digit_lengths(self):
-        assert str(CycleType.from_cycle_lengths(12, [12])) == "α₁₂=1"
-        assert str(CycleType.from_cycle_lengths(23, [10, 10, 2, 1])) == "α₁=1 α₂=1 α₁₀=2"
-        assert CycleType.from_cycle_lengths(23, [1, 10, 2, 10]).cycle_lengths() == (10, 10, 2, 1)
+        assert str(partition_to_cycle_type(Partition((12,)))) == "α₁₂=1"
+        t = partition_to_cycle_type(Partition((10, 10, 2, 1)))
+        assert str(t) == "α₁=1 α₂=1 α₁₀=2"
+        alpha = [1, 1] + [0] * 7 + [2] + [0] * 13
+        assert t.alpha == tuple(alpha)
+        assert CycleType(23, alpha).cycle_lengths() == (10, 10, 2, 1)
 
     def test_listing_alphas_equal_counts_of_the_partitions_parts(self):
         # the alphas are counted here off each partition's own parts, in the

@@ -14,6 +14,7 @@ from combinatoria.errors import (
     InvalidDegreeError,
     InvariantViolationError,
 )
+from combinatoria.partitions import Partition, partition_to_cycle_type
 from combinatoria.perm import (
     Cycle,
     CycleType,
@@ -185,7 +186,8 @@ class TestCycles:
          ([(2, float("nan"))], "point nan outside 1..2"),
          (5, "cycles must be collections of whole-number points, got 5"),
          ([5], "cycles must be collections of whole-number points, got [5]"),
-         ([(1, "a")], "cycles must be collections of whole-number points, got [(1, 'a')]")],
+         ([(1, "a")], "cycles must be collections of whole-number points, got [(1, 'a')]"),
+         ([(), (1, 2)], "a cycle needs at least one point")],
     )
     def test_from_cycles_names_the_first_listed_point_outside_the_degree(self, cycles, message):
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
@@ -306,8 +308,10 @@ class TestCycleType:
         assert str(t) == "α₁=1"
 
     def test_cycle_lengths_that_are_not_whole_are_refused(self):
-        with pytest.raises(InvariantViolationError, match="cycle lengths.*1.0"):
-            CycleType.from_cycle_lengths(3, (1.0, 2))
+        # the parts 2 and 1.0 weigh up to a degree of 3.0, which is refused
+        message = "degree of a permutation must be a whole number, got 3.0$"
+        with pytest.raises(InvariantViolationError, match=message):
+            partition_to_cycle_type(Partition((2, 1.0)))
 
     def test_sparse_rendering(self):
         p = parse_one_line("[1,4,3,6,5,2]")

@@ -44,7 +44,6 @@ ALLOWLIST = {
     "ClassOrder.__post_init__": "checks a hand-built ClassOrder; class_order builds trusted",
     # names the README or an acceptance criterion uses
     "identity": "the unit of compose, in the README's list of degree-capped calls",
-    "CycleType.from_cycle_lengths": "in the README's list of degree-capped calls",
     # its mode option too: criterion 5 pins an EXACT head with it
     "CaputSpec.fixing_symbols": "the README session and acceptance criterion 5 pin heads with it",
     "TreeCoordinate.swapped": "acceptance criterion 9 shows (a, b) and (b, a) are two points",
