@@ -31,6 +31,7 @@ from .errors import (
     GroundSetMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
+    collection,
     refuse_past,
     shown,
     whole,
@@ -359,12 +360,7 @@ def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:
     if isinstance(whole, Permutation):
         return whole.image
-    try:
-        points = tuple(map(_point, whole))
-    except TypeError:
-        raise InvariantViolationError(
-            f"an arrangement must be a collection of symbols, got {shown(whole)}"
-        ) from None
+    points = tuple(map(_point, collection("an arrangement", whole, "symbols")))
     if sorted(points) != list(range(1, len(points) + 1)):
         raise InvariantViolationError(
             f"arrangement {shown(whole)} is not a rearrangement of a reference alphabet"
@@ -397,7 +393,9 @@ def is_caput_of(
     realized by ``whole``.  An empty sub is vacuously a head of anything.
     Positions are read as ``CaputSpec`` reads its own, as whole numbers, so
     ``1.0`` and ``"1"`` are refused; a ``CaputSpec`` is refused too, since
-    ``satisfies`` tests a spec in its mode.  Positions or occupants outside
+    ``satisfies`` tests a spec in its mode.  ``whole`` is a string, a
+    sequence or a ``Permutation``; a mapping is refused by name, since it
+    would be read by its keys alone.  Positions or occupants outside
     the larger arrangement's ground set are a mismatch error, not a False.
     """
     arrangement = _normalize_arrangement(whole)

@@ -4,6 +4,7 @@ All of them subclass ValueError so that callers who do not care about the
 distinction can catch the usual thing.
 """
 import operator
+from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -124,16 +125,23 @@ def whole(what: str, size: object) -> int:
         raise InvariantViolationError(f"{what} must be a whole number, got {shown(size)}") from None
 
 
+def collection(what: str, values: object, kind: str) -> tuple:
+    """The values as a tuple; values that are no collection are refused by
+    name, and so is a mapping, since it iterates over its keys alone."""
+    if not isinstance(values, Mapping):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise InvariantViolationError(f"{what} must be a collection of {kind}, got {shown(values)}")
+
+
 def wholes(what: str, values: object) -> tuple[int, ...]:
     """The values as a tuple of ints, each read as ``whole`` reads one; the
     first that is not a whole number, or values that are no collection, are
     refused by name.  Values that are all ints run no Python code per value."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise InvariantViolationError(
-            f"{what} must be a collection of whole numbers, got {shown(values)}"
-        ) from None
+    if type(values) is not tuple:  # the hot callers pass tuples
+        values = collection(what, values, "whole numbers")
     try:
         return tuple(map(operator.index, values))
     except TypeError:

@@ -180,7 +180,7 @@ def count_partitions_by_enumeration(n: int) -> int:
 
 def count_two_part_by_enumeration(n: int) -> int:
     """Two-part partitions by listing the pairs (a, n-a) with a >= n-a >= 1."""
-    refuse_past("pair listing", n)
+    n = refuse_past("pair listing", n)
     return sum(1 for a in range(1, n) if a >= n - a)
 
 
@@ -370,7 +370,7 @@ def verify_all(max_n: int) -> list[OracleReport]:
     Failures are reported, never raised; max_n = 0 degenerates to an all-pass
     run over empty ranges.
     """
-    refuse_past("verify sweep", max_n)
+    max_n = refuse_past("verify sweep", max_n)
     if max_n < 0:
         raise InvariantViolationError("max_n must be >= 0")
     reports = []

@@ -164,7 +164,7 @@ def count_partitions(n: int) -> int:
     Euler's pentagonal recurrence, filled bottom-up in a table local to the
     call, so nothing outlives it.
     """
-    refuse_past("partition count", n)
+    n = refuse_past("partition count", n)
     if n < 0:
         raise InvariantViolationError("partitions are defined for n >= 0")
     table = [1]

@@ -21,14 +21,17 @@ by a walk of partitions of n in count-vector form, and
 partition.  Every trusted builder is a module-level name starting with
 ``_trusted``.
 
+Points from a caller are read as whole numbers, as ``CycleType`` reads its
+counts: by ``errors.wholes`` in ``Permutation``, ``Cycle`` and
+``from_cycles``, by ``errors.whole`` in ``Permutation.__call__`` and
+``point_to_symbol``.  Bools read as 0 and 1; a float (NaN included), text
+and a mapping are refused by name.
+
 The parsers check text in C-level passes (``map``, ``filter``, ``chain``)
 rather than a Python loop per point.  ``parse_one_line`` strips each
 comma-split item, U+001C..U+001F included as ``int`` would not, drops the
 empty ones and reads the rest with ``int`` in one pass; the image is then
-checked once, by ``Permutation``.  ``from_cycles`` range-checks every point
-by one set difference against 1..n, which needs no ordering, so a NaN is
-caught too, and walks the points in order only to name the first outside
-1..n.
+checked once, by ``Permutation``.
 
 The cycle readers ``cycle_decomposition``, ``cycle_type`` and
 ``format_cycles`` read one private walk of the image, ``_cycles``, and still
@@ -50,6 +53,7 @@ from .errors import (
     DegreeMismatchError,
     InvalidDegreeError,
     InvariantViolationError,
+    collection,
     refuse_past,
     shown,
     whole,
@@ -91,21 +95,14 @@ class Permutation(Value):
     image: tuple[int, ...]
 
     def __init__(self, image: Iterable[int]) -> None:
-        try:
-            # a tuple the caller cannot change past the checks; tuple(t) is t
-            image = tuple(image)
-            n = len(image)
-            if n == 0:
-                raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-            if sorted(image) != list(range(1, n + 1)):
-                raise InvariantViolationError(
-                    f"one-line form {shown(list(image))} is not a bijection of 1..{n}"
-                )
-        except TypeError:
-            # no collection, or points that do not compare, such as text among numbers
+        image = wholes("the points of a one-line form", image)
+        n = len(image)
+        if n == 0:
+            raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+        if sorted(image) != list(range(1, n + 1)):
             raise InvariantViolationError(
-                f"a one-line form must be a collection of whole-number points, got {shown(image)}"
-            ) from None
+                f"one-line form {shown(list(image))} is not a bijection of 1..{n}"
+            )
         _set_image(self, image)
 
     @property
@@ -113,6 +110,7 @@ class Permutation(Value):
         return len(self.image)
 
     def __call__(self, point: int) -> int:
+        point = whole("a point", point)
         if not 1 <= point <= self.degree:
             raise InvariantViolationError(f"point {shown(point)} outside 1..{self.degree}")
         return self.image[point - 1]
@@ -168,20 +166,14 @@ class Cycle(Value):
     points: tuple[int, ...]
 
     def __init__(self, points: tuple[int, ...]) -> None:
-        try:
-            pts = tuple(points)
-            if not pts:
-                raise InvariantViolationError("a cycle needs at least one point")
-            if len(set(pts)) != len(pts):
-                raise InvariantViolationError(f"cycle {shown(pts)} repeats a point")
-            least = min(pts)
-            if least <= 0:
-                raise InvariantViolationError(f"cycle {shown(pts)} contains a non-positive point")
-        except TypeError:
-            # no collection, or points that do not compare with numbers
-            raise InvariantViolationError(
-                f"a cycle must be a collection of whole-number points, got {shown(points)}"
-            ) from None
+        pts = wholes("the points of a cycle", points)
+        if not pts:
+            raise InvariantViolationError("a cycle needs at least one point")
+        if len(set(pts)) != len(pts):
+            raise InvariantViolationError(f"cycle {shown(pts)} repeats a point")
+        least = min(pts)
+        if least <= 0:
+            raise InvariantViolationError(f"cycle {shown(pts)} contains a non-positive point")
         if pts[0] != least:
             # canonical rotation: smallest point first
             k = pts.index(least)
@@ -360,30 +352,24 @@ def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
     fixed; a degree past the "cycle degree" row of ``CEILINGS`` is
     refused before the image is built.
     """
-    try:
-        cycle_list = [c.points if isinstance(c, Cycle) else tuple(c) for c in cycles]
-        mentioned = list(chain.from_iterable(cycle_list))
-        points = set(mentioned)
-        n = max(mentioned, default=0)
-    except TypeError:
-        # no collection of collections, or points that do not hash or compare
-        raise InvariantViolationError(
-            f"cycles must be collections of whole-number points, got {shown(cycles)}"
-        ) from None
+    cycle_list = [
+        c.points if isinstance(c, Cycle) else wholes("the points of a cycle", c)
+        for c in collection("cycles", cycles, "cycles")
+    ]
     if not all(cycle_list):
         raise InvariantViolationError("a cycle needs at least one point")
+    mentioned = list(chain.from_iterable(cycle_list))
     if not mentioned:
         raise InvalidDegreeError("cannot infer a degree from an empty cycle list")
-    if len(points) != len(mentioned):
+    if len(set(mentioned)) != len(mentioned):
         raise InvariantViolationError("cycles are not disjoint")
-    refuse_past("cycle degree", n)
+    n = refuse_past("cycle degree", max(mentioned))
     if n < 1:
         raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
-    if points.difference(range(1, n + 1)):
-        # name the first point listed outside 1..n, not the least
-        for x in mentioned:
-            if not 1 <= x <= n:
-                raise InvariantViolationError(f"point {shown(x)} outside 1..{n}")
+    if min(mentioned) < 1:
+        # name the first point listed below 1, not the least
+        low = next(x for x in mentioned if x < 1)
+        raise InvariantViolationError(f"point {shown(low)} outside 1..{n}")
     image = list(range(1, n + 1))
     for pts in cycle_list:
         # each point goes to the next; the walk starts at the last, which goes to the first
@@ -484,6 +470,7 @@ _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 def point_to_symbol(point: int) -> str:
     """1 -> 'a', 2 -> 'b', ... (letters run out past 26)."""
+    point = whole("a point", point)
     if not 1 <= point <= len(_ALPHABET):
         raise InvariantViolationError(f"no letter for point {shown(point)}; use numbers")
     return _ALPHABET[point - 1]
@@ -491,6 +478,8 @@ def point_to_symbol(point: int) -> str:
 
 def symbol_to_point(symbol: str) -> int:
     """'a' -> 1, 'b' -> 2, ...; numeric strings pass through."""
+    if not isinstance(symbol, str):
+        raise InvariantViolationError(f"a symbol must be text, got {shown(symbol)}")
     s = symbol.strip().lower()
     if s.isdecimal():
         return int(s)

@@ -148,7 +148,7 @@ def vicinity_classes(n: int) -> list[Permutation]:
     The representatives are the listing of the monadic head at position 1,
     loose mode: they start with point 1 and come out in lexicographic order.
     """
-    refuse_past("vicinity listing", n)
+    n = refuse_past("vicinity listing", n)
     if n < 1:
         raise InvalidDegreeError("vicinity classes need n >= 1")
     return list(enumerate_caput(CaputSpec(n, _HEADS[5])))
@@ -299,6 +299,9 @@ def solve(
         raise InvariantViolationError(
             f"unknown problem id {shown(problem_id)}; use 1..12 or {SIMPLICITER!r}"
         )
+    if problem_id != SIMPLICITER:
+        # 1.0 compares equal to 1 above; read here, True is 1 and 1.0 refused
+        problem_id = whole("a problem id", problem_id)
     inputs = {"n": n} if k is None else {"n": n, "k": k}
     if problem_id == 10:
         # containment is a predicate, not a count: see caput.is_caput_of
@@ -343,7 +346,7 @@ def reduce_to_caput(problem_id: int | str, n: int, k: int | None = None) -> Capu
             f"problems 7..12 are the machinery itself, not its clients"
         )
     solved = solve(problem_id, n, k)
-    inputs, direct = solved.inputs, solved.count
+    problem_id, inputs, direct = solved.problem_id, solved.inputs, solved.count
     if solved.status != "ok":
         return CaputReduction(
             problem_id, inputs, status=solved.status, note=PROBLEM_TITLES[problem_id]

@@ -505,7 +505,10 @@ class TestIsCaputOf:
          ("3", "abc", "a head to test must be a mapping .*, got '3'$"),
          ({1: "a"}, 5, "^an arrangement must be a collection of symbols, got 5$"),
          (CaputSpec(3, {1}, HeadMode.EXACT), "abc",
-          "a head to test must be a mapping .*, got CaputSpec")],
+          "a head to test must be a mapping .*, got CaputSpec"),
+         # a mapping would be read by its keys, the identity 1, 2
+         ({1: "a"}, {1: "b", 2: "a"},
+          r"^an arrangement must be a collection of symbols, got \{1: 'b', 2: 'a'\}$")],
     )
     def test_sub_or_whole_of_another_kind_is_named(self, sub, whole, message):
         with pytest.raises(InvariantViolationError, match=message):

@@ -193,6 +193,9 @@ class TestVerifyAll:
     def test_deterministic(self):
         assert verify_all(4) == verify_all(4)
 
+    def test_a_bool_max_n_is_read_as_an_int(self):
+        assert [r.n_range for r in verify_all(True)] == [r.n_range for r in verify_all(1)]
+
     def test_genealogy_check_holds_one_gradus_at_a_time(self):
         # over the listing alone, the compare holds at most six lists of one
         # block's pointers: the block, its two columns, the ranks and spare

@@ -51,10 +51,27 @@ class TestConstruction:
         with pytest.raises(InvalidDegreeError):
             identity(0)
 
-    @pytest.mark.parametrize("image", [(1, 1), (2, 3), (0, 1), (1, 2, 4), 5, (1, "a")])
+    @pytest.mark.parametrize(
+        "image", [(1, 1), (2, 3), (0, 1), (1, 2, 4), 5, (1, "a"), (2.0, 1), {1: 2, 2: 1}]
+    )
     def test_rejects_non_bijections(self, image):
         with pytest.raises(InvariantViolationError, match="one-line form"):
             Permutation(image)
+
+    @pytest.mark.parametrize(
+        "image, message",
+        [((1, float("nan")), "each of the points of a one-line form must be a whole number, got nan"),
+         ((True, 3), "one-line form [1, 3] is not a bijection of 1..2")],
+    )
+    def test_points_are_read_as_whole_numbers(self, image, message):
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            Permutation(image)
+
+    def test_bool_points_read_as_ints(self):
+        p = Permutation((True, 2))
+        assert p == Permutation((1, 2)) and str(p) == "[1,2]"
+        assert all(type(x) is int for x in p.image)
+        assert str(Cycle((True, 2))) == "(12)"
 
     def test_image_is_immutable_value(self):
         p = Permutation((2, 1))
@@ -169,9 +186,12 @@ class TestCycles:
         with pytest.raises(InvariantViolationError):
             Cycle((1, 2, 1))
 
-    @pytest.mark.parametrize("points", [5, ("a", "b")])
+    @pytest.mark.parametrize(
+        "points", [5, ("a", "b"), (1.5, 2), (2, float("nan")), {2: 1, 1: 2}]
+    )
     def test_cycle_refuses_what_is_no_collection_of_numbers(self, points):
-        with pytest.raises(InvariantViolationError, match="a cycle must be a collection"):
+        message = "the points of a cycle must be a (collection of whole numbers|whole number), got"
+        with pytest.raises(InvariantViolationError, match=message):
             Cycle(points)
 
     def test_from_cycles_rejects_overlap(self):
@@ -183,11 +203,15 @@ class TestCycles:
         [([(5, 0), (-1, 2)], "point 0 outside 1..5"),
          ([(1, 2), (3, 0), (4,)], "point 0 outside 1..4"),
          ([Cycle((2, 7)), (0,)], "point 0 outside 1..7"),
-         ([(2, float("nan"))], "point nan outside 1..2"),
-         (5, "cycles must be collections of whole-number points, got 5"),
-         ([5], "cycles must be collections of whole-number points, got [5]"),
-         ([(1, "a")], "cycles must be collections of whole-number points, got [(1, 'a')]"),
-         ([(), (1, 2)], "a cycle needs at least one point")],
+         ([(2, float("nan"))], "each of the points of a cycle must be a whole number, got nan"),
+         (5, "cycles must be a collection of cycles, got 5"),
+         ([5], "the points of a cycle must be a collection of whole numbers, got 5"),
+         ([(1, "a")], "each of the points of a cycle must be a whole number, got 'a'"),
+         ([(), (1, 2)], "a cycle needs at least one point"),
+         ([(1.0, 2)], "each of the points of a cycle must be a whole number, got 1.0"),
+         ([{1: 2}], "the points of a cycle must be a collection of whole numbers, got {1: 2}"),
+         ({(1, 2): 1}, "cycles must be a collection of cycles, got {(1, 2): 1}"),
+         ([(2, False)], "point 0 outside 1..2")],
     )
     def test_from_cycles_names_the_first_listed_point_outside_the_degree(self, cycles, message):
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
@@ -289,6 +313,7 @@ class TestCycleType:
             (2, (0, Fraction(1)), "Fraction"),
             (3, ("a", 0, 0), "'a'"),
             (3, 5, "5"),
+            (2, {0: 1, 1: 0}, "got {0: 1, 1: 0}"),
         ],
     )
     def test_counts_that_are_not_whole_are_refused(self, degree, alpha, bad):
@@ -402,6 +427,15 @@ class TestSymbols:
     def test_unknown_symbol(self):
         with pytest.raises(InvariantViolationError):
             symbol_to_point("?")
+        with pytest.raises(InvariantViolationError, match="^a symbol must be text, got 5$"):
+            symbol_to_point(5)
+
+    @pytest.mark.parametrize("read", [identity(2), point_to_symbol], ids=["call", "symbol"])
+    @pytest.mark.parametrize("point", [1.0, float("nan"), {1: 2}])
+    def test_a_point_that_is_not_whole_is_refused(self, read, point):
+        message = f"^a point must be a whole number, got {re.escape(repr(point))}$"
+        with pytest.raises(InvariantViolationError, match=message):
+            read(point)
 
 
 class TestProperties:

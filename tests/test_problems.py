@@ -226,6 +226,16 @@ class TestSolve:
         with pytest.raises(InvariantViolationError, match=r"^unknown problem id \[1, 2\]; "):
             solve([1, 2], 4)
 
+    def test_a_numeric_id_is_read_as_a_whole_number(self):
+        # True reads as 1, as a head position does; 1.0 is refused, not taken for 1
+        for result in (solve(True, 3, 1), reduce_to_caput(True, 3, 1)):
+            assert result.problem_id == 1 and type(result.problem_id) is int
+        assert reduce_to_caput(True, 3, 1) == reduce_to_caput(1, 3, 1)
+        message = "^a problem id must be a whole number, got 1.0$"
+        for call in (solve, reduce_to_caput):
+            with pytest.raises(InvariantViolationError, match=message):
+                call(1.0, 3, 1)
+
     def test_witnesses_match_count(self):
         result = solve(4, n=4, with_witnesses=True)
         assert result.witnesses is not None
