@@ -64,7 +64,8 @@ class CaputSpec(Value):
     identity alone, EXACT with |head| = n-1 by nothing at all.  A head of one
     position, ``head_size == 1``, is monadic.  The mode may come as its text,
     ``"exact"`` for EXACT; positions are read as whole numbers, so ``2.0`` is
-    refused, not taken for 2.
+    refused, not taken for 2.  A mapping such as ``head_contents()`` is refused
+    too, since it would read as its keys alone; pass its ``keys()``.
     """
 
     __slots__ = ("degree", "head", "mode")
@@ -198,17 +199,18 @@ def _factorial(m: int) -> int:
 
 
 def satisfies(spec: CaputSpec, p: Permutation) -> bool:
-    """Membership test for a single permutation against the head."""
+    """Membership test for one permutation; the head holds ints in 1..degree."""
     if p.degree != spec.degree:
         raise GroundSetMismatchError(
             f"permutation of degree {p.degree} against a head over 1..{shown(spec.degree)}"
         )
+    image = p.image
     if spec.mode is HeadMode.SETWISE:
-        return {p(i) for i in spec.head} == set(spec.head)
-    if any(p(i) != i for i in spec.head):
+        return {image[i - 1] for i in spec.head} == set(spec.head)
+    if any(image[i - 1] != i for i in spec.head):
         return False
     if spec.mode is HeadMode.EXACT:
-        return all(p(i) != i for i in range(1, spec.degree + 1) if i not in spec.head)
+        return all(image[i - 1] != i for i in range(1, spec.degree + 1) if i not in spec.head)
     return True
 
 

@@ -140,8 +140,7 @@ def wholes(what: str, values: object) -> tuple[int, ...]:
     """The values as a tuple of ints, each read as ``whole`` reads one; the
     first that is not a whole number, or values that are no collection, are
     refused by name.  Values that are all ints run no Python code per value."""
-    if type(values) is not tuple:  # the hot callers pass tuples
-        values = collection(what, values, "whole numbers")
+    values = collection(what, values, "whole numbers")
     try:
         return tuple(map(operator.index, values))
     except TypeError:

@@ -130,6 +130,9 @@ class TestSpec:
     def test_head_that_is_no_collection_is_refused(self):
         with pytest.raises(InvariantViolationError, match="collection of whole numbers, got 5"):
             CaputSpec(3, 5)
+        # a mapping would read as its keys alone
+        with pytest.raises(InvariantViolationError, match=r"numbers, got \{1: 'a', 3: 'c'\}"):
+            CaputSpec(4, {1: "a", 3: "c"})
 
     def test_first_bad_position_is_named(self):
         with pytest.raises(InvariantViolationError, match="got 2.5$"):
