@@ -16,6 +16,10 @@ scope: no closed form is implemented for them, and none is invented here.
 A head of size one is called monadic; its LOOSE count (n-1)! is exactly the
 circle-of-neighbours count of `problems.vicinity_variations`, and its LOOSE
 listing at position 1 is `problems.vicinity_classes`.
+
+A symbol, one letter a..z, decimal text or a whole number, names a point of
+the reference arrangement: `_point` reads every symbol the module takes, and
+`head_contents` writes the letters back, numbers past z.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .errors import (
     whole,
     wholes,
 )
-from .perm import Permutation, _trusted_all, point_to_symbol, symbol_to_point
+from .perm import Permutation, _trusted_all
 
 __all__ = [
     "HeadMode",
@@ -49,6 +53,8 @@ __all__ = [
     "derangements_by_inclusion_exclusion",
     "is_caput_of",
 ]
+
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz"  # the symbols of the points 1..26
 
 
 class HeadMode(Enum):
@@ -134,8 +140,7 @@ class CaputSpec(Value):
                 raise InvariantViolationError(
                     f"head position {pos_text!r} is not a number"
                 ) from None
-            point = symbol_to_point(occupant)
-            if point != pos:
+            if _point(occupant) != pos:
                 raise InvariantViolationError(
                     f"head entry {pair!r}: {occupant.strip()!r} is not the occupant "
                     f"of position {pos} in the reference arrangement"
@@ -145,7 +150,7 @@ class CaputSpec(Value):
 
     def head_contents(self) -> dict[int, str]:
         """Position -> occupant map of the head, for echoing in outputs."""
-        return {i: point_to_symbol(i) if i <= 26 else str(i) for i in sorted(self.head)}
+        return {i: _ALPHABET[i - 1] if i <= 26 else str(i) for i in sorted(self.head)}
 
 
 def derangements(m: int) -> int:
@@ -184,6 +189,7 @@ def count_caput(spec: CaputSpec) -> int:
 
     LOOSE: (n-k)!.  EXACT: D(n-k).  SETWISE: k! * (n-k)!.
     """
+    _of_kind("a head", spec, CaputSpec)
     free = spec.degree - spec.head_size
     if spec.mode is HeadMode.LOOSE:
         return _factorial(free)
@@ -198,8 +204,16 @@ def _factorial(m: int) -> int:
     return math.factorial(m)
 
 
+def _of_kind(what: str, value: object, kind: type) -> None:
+    """Refuse by name an argument that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise InvariantViolationError(f"{what} must be a {kind.__name__}, got {shown(value)}")
+
+
 def satisfies(spec: CaputSpec, p: Permutation) -> bool:
     """Membership test for one permutation; the head holds ints in 1..degree."""
+    _of_kind("a head", spec, CaputSpec)
+    _of_kind("a permutation", p, Permutation)
     if p.degree != spec.degree:
         raise GroundSetMismatchError(
             f"permutation of degree {p.degree} against a head over 1..{shown(spec.degree)}"
@@ -239,6 +253,7 @@ def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
       call, the sorted patterns of the head values over the tail's head
       positions and of the free values over its free positions.
     """
+    _of_kind("a head", spec, CaputSpec)
     refuse_past("head enumeration", spec.degree)
     return _trusted_all(_images(spec))
 
@@ -362,6 +377,8 @@ def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:
     if isinstance(whole, Permutation):
         return whole.image
+    if isinstance(whole, (set, frozenset)):  # its order is the hash order
+        raise InvariantViolationError(f"an arrangement must not be a set, got {shown(whole)}")
     points = tuple(map(_point, collection("an arrangement", whole, "symbols")))
     if sorted(points) != list(range(1, len(points) + 1)):
         raise InvariantViolationError(
@@ -371,11 +388,16 @@ def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tu
 
 
 def _point(symbol: int | str) -> int:
-    """``symbol_to_point`` of the symbol's text; a non-negative int is its own
-    point, even one whose text would pass the int-to-str digit limit."""
-    if type(symbol) is int and symbol >= 0:
-        return symbol
-    return symbol_to_point(str(symbol))
+    """The point a symbol names: stripped text, decimal or one letter a..z in
+    any case, or any other value read as ``errors.whole`` reads one."""
+    if not isinstance(symbol, str):
+        return whole("a symbol", symbol)
+    text = symbol.strip().lower()
+    if text.isdecimal():
+        return int(text)
+    if len(text) == 1 and text in _ALPHABET:
+        return _ALPHABET.index(text) + 1
+    raise InvariantViolationError(f"unknown symbol {symbol!r}")
 
 
 def _normalize_sub(sub: Mapping[int, str | int]) -> dict[int, int]:
@@ -393,12 +415,13 @@ def is_caput_of(
 
     True iff every (position, occupant) pair of the mapping ``sub`` is
     realized by ``whole``.  An empty sub is vacuously a head of anything.
-    Positions are read as ``CaputSpec`` reads its own, as whole numbers, so
-    ``1.0`` and ``"1"`` are refused; a ``CaputSpec`` is refused too, since
-    ``satisfies`` tests a spec in its mode.  ``whole`` is a string, a
-    sequence or a ``Permutation``; a mapping is refused by name, since it
-    would be read by its keys alone.  Positions or occupants outside
-    the larger arrangement's ground set are a mismatch error, not a False.
+    Positions are read as ``CaputSpec`` reads its own and symbols as
+    ``fixing_symbols`` does, so ``True`` is 1 and ``1.0`` is refused; a
+    ``CaputSpec`` is refused too, since ``satisfies`` tests a spec in its
+    mode.  ``whole`` is a string, a sequence or a ``Permutation``; a mapping
+    (read by its keys) and a set (read in hash order) are refused by name.
+    Positions or occupants outside the larger arrangement's ground set are
+    a mismatch error, not a False.
     """
     arrangement = _normalize_arrangement(whole)
     n = len(arrangement)

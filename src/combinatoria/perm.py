@@ -23,9 +23,9 @@ partition.  Every trusted builder is a module-level name starting with
 
 Points from a caller are read as whole numbers, as ``CycleType`` reads its
 counts: by ``errors.wholes`` in ``Permutation``, ``Cycle`` and
-``from_cycles``, by ``errors.whole`` in ``Permutation.__call__`` and
-``point_to_symbol``.  Bools read as 0 and 1; a float (NaN included), text
-and a mapping are refused by name.
+``from_cycles``, by ``errors.whole`` in ``Permutation.__call__``.  Bools
+read as 0 and 1; a float (NaN included), text and a mapping are refused by
+name.  The letters a..z that name points in a head are ``caput``'s.
 
 The parsers check text in C-level passes (``map``, ``filter``, ``chain``)
 rather than a Python loop per point.  ``parse_one_line`` strips each
@@ -76,8 +76,6 @@ __all__ = [
     "parse_permutation",
     "format_one_line",
     "format_cycles",
-    "point_to_symbol",
-    "symbol_to_point",
 ]
 
 
@@ -462,27 +460,3 @@ def parse_permutation(text: str) -> Permutation:
         f"expected [one-line] or (cycle) notation, got {text!r}"
     )
 
-
-# -- symbolic points -----------------------------------------------------------
-
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-
-
-def point_to_symbol(point: int) -> str:
-    """1 -> 'a', 2 -> 'b', ... (letters run out past 26)."""
-    point = whole("a point", point)
-    if not 1 <= point <= len(_ALPHABET):
-        raise InvariantViolationError(f"no letter for point {shown(point)}; use numbers")
-    return _ALPHABET[point - 1]
-
-
-def symbol_to_point(symbol: str) -> int:
-    """'a' -> 1, 'b' -> 2, ...; numeric strings pass through."""
-    if not isinstance(symbol, str):
-        raise InvariantViolationError(f"a symbol must be text, got {shown(symbol)}")
-    s = symbol.strip().lower()
-    if s.isdecimal():
-        return int(s)
-    if len(s) == 1 and s in _ALPHABET:
-        return _ALPHABET.index(s) + 1
-    raise InvariantViolationError(f"unknown symbol {symbol!r}")

@@ -94,6 +94,15 @@ class TestSpec:
         spec = CaputSpec.parse_head(4, "1=a,3=c")
         assert spec.head_contents() == {1: "a", 3: "c"}
 
+    def test_symbols_are_letters_or_decimal_text(self):
+        # one letter a..z is its place, any case and spacing; decimal text
+        # is its number; past z a head is written in numbers
+        spec = CaputSpec.fixing_symbols(30, [" D ", "z", "12", "27", 5, True])
+        assert spec.head == {1, 4, 5, 12, 26, 27}
+        assert spec == CaputSpec.parse_head(30, "1=A, 4=d, 5=5, 12=l, 26=Z, 27=27")
+        assert spec.head_contents() == {1: "a", 4: "d", 5: "e", 12: "l", 26: "z", 27: "27"}
+        assert CaputSpec.fixing_symbols(30, "adz") == CaputSpec(30, {1, 4, 26})
+
     def test_mode_given_as_text_is_the_mode(self):
         spec = CaputSpec(3, frozenset(), "exact")
         assert spec.mode is HeadMode.EXACT
@@ -511,10 +520,27 @@ class TestIsCaputOf:
           "a head to test must be a mapping .*, got CaputSpec"),
          # a mapping would be read by its keys, the identity 1, 2
          ({1: "a"}, {1: "b", 2: "a"},
-          r"^an arrangement must be a collection of symbols, got \{1: 'b', 2: 'a'\}$")],
+          r"^an arrangement must be a collection of symbols, got \{1: 'b', 2: 'a'\}$"),
+         # a set lists text in hash order, which changes from run to run
+         ({1: "a"}, {"a", "b", "c"}, "^an arrangement must not be a set, got "),
+         ({1: 1}, frozenset({2, 1}), r"^an arrangement must not be a set, got frozenset\(")],
     )
     def test_sub_or_whole_of_another_kind_is_named(self, sub, whole, message):
         with pytest.raises(InvariantViolationError, match=message):
+            is_caput_of(sub, whole)
+
+    @pytest.mark.parametrize("sub, whole", [({1: True}, [1, 2]), ({1: 1}, [True, 2])])
+    def test_bool_symbols_read_as_ints(self, sub, whole):
+        # symbols are read as positions are: a bool is its plain int
+        assert is_caput_of(sub, whole)
+
+    @pytest.mark.parametrize(
+        "sub, whole",
+        [({1: 1.0}, "ab"), ({1: "a"}, [1.0, 2]), ({1: "a"}, ["a", None]),
+         ({1: "a"}, [1, float("nan")])],
+    )
+    def test_symbol_that_is_no_whole_number_is_named(self, sub, whole):
+        with pytest.raises(InvariantViolationError, match="^a symbol must be a whole number, got"):
             is_caput_of(sub, whole)
 
     def test_permutation_as_whole(self):
@@ -541,6 +567,22 @@ class TestSatisfies:
     def test_ground_set_mismatch(self):
         with pytest.raises(GroundSetMismatchError):
             satisfies(CaputSpec(degree=4), Permutation((1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: satisfies("x", Permutation((1, 2))), "a head must be a CaputSpec, got 'x'"),
+         (lambda: satisfies(CaputSpec(2), "ab"), "a permutation must be a Permutation, got 'ab'"),
+         (lambda: satisfies(CaputSpec(2), (1, 2)),
+          r"a permutation must be a Permutation, got \(1, 2\)"),
+         (lambda: count_caput(3), "a head must be a CaputSpec, got 3"),
+         (lambda: count_caput(frozenset({1})), "a head must be a CaputSpec, got frozenset"),
+         (lambda: enumerate_caput("a"), "a head must be a CaputSpec, got 'a'")],
+        ids=["satisfies head", "satisfies text", "satisfies tuple", "count", "count set",
+             "enumerate"],
+    )
+    def test_an_argument_of_another_kind_is_named(self, call, message):
+        with pytest.raises(InvariantViolationError, match=f"^{message}"):
+            call()
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(

@@ -352,11 +352,6 @@ MESSAGE_SITES = {
         "point -7 outside 1..5",
         lambda: perm.from_cycles([(5, -HUGE)]),
     ),
-    "point_to_symbol": (
-        lambda: perm.point_to_symbol(27),
-        "no letter for point 27; use numbers",
-        lambda: perm.point_to_symbol(HUGE),
-    ),
     "Partition": (
         lambda: partitions.Partition((1, 2)),
         "parts must be non-increasing positives: (1, 2)",
@@ -371,6 +366,11 @@ MESSAGE_SITES = {
         lambda: CaputSpec.fixing_symbols(4, ["e"]),
         "head positions [5] outside 1..4",
         lambda: CaputSpec.fixing_symbols(4, [HUGE]),
+    ),
+    "fixing_symbols symbol": (
+        lambda: CaputSpec.fixing_symbols(4, [1.0]),
+        "a symbol must be a whole number, got 1.0",
+        lambda: CaputSpec.fixing_symbols(4, [(HUGE,)]),
     ),
     # the oracle reads its head and mode as CaputSpec does
     "count_caput_by_filter head": (
@@ -392,6 +392,11 @@ MESSAGE_SITES = {
         lambda: caput.satisfies(CaputSpec(2), perm.Permutation((1,))),
         "permutation of degree 1 against a head over 1..2",
         lambda: caput.satisfies(CaputSpec(HUGE), perm.Permutation((1,))),
+    ),
+    "count_caput kind": (
+        lambda: caput.count_caput(3),
+        "a head must be a CaputSpec, got 3",
+        lambda: caput.count_caput(HUGE),
     ),
     "is_caput_of position": (
         lambda: caput.is_caput_of({4: "a"}, "abc"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from combinatoria.caput import CaputSpec
 from combinatoria.errors import (
     CEILINGS,
     DegreeMismatchError,
@@ -31,8 +32,6 @@ from combinatoria.perm import (
     parse_cycles,
     parse_one_line,
     parse_permutation,
-    point_to_symbol,
-    symbol_to_point,
 )
 
 from conftest import all_perms, as_mapping, conjugate, mapping_compose
@@ -419,21 +418,31 @@ class TestTextFormats:
 
 
 class TestSymbols:
+    """Points are numbers; the letters a..z that name them in a head are read
+    and written by ``caput``, through its public paths."""
+
     def test_letters_round_trip(self):
-        assert point_to_symbol(1) == "a"
-        assert symbol_to_point("d") == 4
-        assert symbol_to_point("12") == 12
+        assert CaputSpec.fixing_symbols(4, "d").head_contents() == {4: "d"}
+        assert CaputSpec.fixing_symbols(12, ["12"]).head == {12}
 
     def test_unknown_symbol(self):
-        with pytest.raises(InvariantViolationError):
-            symbol_to_point("?")
-        with pytest.raises(InvariantViolationError, match="^a symbol must be text, got 5$"):
-            symbol_to_point(5)
+        for symbol in ("?", "ab", "", "1.0", "-1"):
+            message = f"^unknown symbol {re.escape(repr(symbol))}$"
+            with pytest.raises(InvariantViolationError, match=message):
+                CaputSpec.fixing_symbols(4, [symbol])
+            with pytest.raises(InvariantViolationError, match=message):
+                CaputSpec.parse_head(4, f"1={symbol}")
+        # a symbol that is no text is read as a number, as a point is
+        assert CaputSpec.fixing_symbols(5, [5]).head == {5}
 
-    @pytest.mark.parametrize("read", [identity(2), point_to_symbol], ids=["call", "symbol"])
+    @pytest.mark.parametrize(
+        "read, what",
+        [(identity(2), "a point"), (lambda s: CaputSpec.fixing_symbols(2, [s]), "a symbol")],
+        ids=["call", "symbol"],
+    )
     @pytest.mark.parametrize("point", [1.0, float("nan"), {1: 2}])
-    def test_a_point_that_is_not_whole_is_refused(self, read, point):
-        message = f"^a point must be a whole number, got {re.escape(repr(point))}$"
+    def test_a_point_that_is_not_whole_is_refused(self, read, what, point):
+        message = f"^{what} must be a whole number, got {re.escape(repr(point))}$"
         with pytest.raises(InvariantViolationError, match=message):
             read(point)
 
