@@ -36,6 +36,7 @@ from .errors import (
     InvalidDegreeError,
     InvariantViolationError,
     collection,
+    of_kind,
     refuse_past,
     shown,
     whole,
@@ -88,6 +89,8 @@ class CaputSpec(Value):
         degree = whole("the degree of a head", degree)
         if degree < 1:
             raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+        if isinstance(head, (set, frozenset)):
+            head = tuple(head)  # a head has no order, so a set may name it
         head = frozenset(wholes("the positions of a head", head))
         bad = [i for i in head if not 1 <= i <= degree]
         if bad:
@@ -137,6 +140,8 @@ class CaputSpec(Value):
             try:
                 pos = int(pos_text)
             except ValueError:
+                if pos_text.strip().isdecimal():  # past int's digit limit
+                    raise _too_many_digits("a head position", pos_text.strip()) from None
                 raise InvariantViolationError(
                     f"head position {pos_text!r} is not a number"
                 ) from None
@@ -150,7 +155,12 @@ class CaputSpec(Value):
 
     def head_contents(self) -> dict[int, str]:
         """Position -> occupant map of the head, for echoing in outputs."""
-        return {i: _ALPHABET[i - 1] if i <= 26 else str(i) for i in sorted(self.head)}
+        try:
+            return {i: _ALPHABET[i - 1] if i <= 26 else str(i) for i in sorted(self.head)}
+        except ValueError:  # past the int-to-str digit limit
+            raise InvariantViolationError(
+                f"head position {shown(max(self.head))} has too many digits to write"
+            ) from None
 
 
 def derangements(m: int) -> int:
@@ -189,7 +199,7 @@ def count_caput(spec: CaputSpec) -> int:
 
     LOOSE: (n-k)!.  EXACT: D(n-k).  SETWISE: k! * (n-k)!.
     """
-    _of_kind("a head", spec, CaputSpec)
+    of_kind("a head", spec, CaputSpec)
     free = spec.degree - spec.head_size
     if spec.mode is HeadMode.LOOSE:
         return _factorial(free)
@@ -204,16 +214,10 @@ def _factorial(m: int) -> int:
     return math.factorial(m)
 
 
-def _of_kind(what: str, value: object, kind: type) -> None:
-    """Refuse by name an argument that is not a ``kind``."""
-    if not isinstance(value, kind):
-        raise InvariantViolationError(f"{what} must be a {kind.__name__}, got {shown(value)}")
-
-
 def satisfies(spec: CaputSpec, p: Permutation) -> bool:
     """Membership test for one permutation; the head holds ints in 1..degree."""
-    _of_kind("a head", spec, CaputSpec)
-    _of_kind("a permutation", p, Permutation)
+    of_kind("a head", spec, CaputSpec)
+    of_kind("a permutation", p, Permutation)
     if p.degree != spec.degree:
         raise GroundSetMismatchError(
             f"permutation of degree {p.degree} against a head over 1..{shown(spec.degree)}"
@@ -247,13 +251,12 @@ def enumerate_caput(spec: CaputSpec) -> Iterator[Permutation]:
       point ``itertools.compress`` drops in C, through a mask looked up by
       which of the block's own values are left, so the stream never stalls
       on a run of rejects;
-    - SETWISE: the positions before the last few draw their values in turn
-      through ``_distinct``, each from its class (head or free); the last
-      few read every arrangement of what is left off one table built per
-      call, the sorted patterns of the head values over the tail's head
-      positions and of the free values over its free positions.
+    - SETWISE: every position draws its value through ``_distinct``, from
+      its class (head or free): the positions before the last few once per
+      prefix, and the last few once per call, as a table of the patterns of
+      indices into the values each prefix leaves, one getter a pattern.
     """
-    _of_kind("a head", spec, CaputSpec)
+    of_kind("a head", spec, CaputSpec)
     refuse_past("head enumeration", spec.degree)
     return _trusted_all(_images(spec))
 
@@ -272,8 +275,9 @@ def _images(spec: CaputSpec) -> Iterator[tuple[int, ...]]:
 # arrangements of its block with a fixed point through a keep mask from
 # _KEEP, so its rejects are skipped in C, and a block of k >= 2 positions
 # keeps at least one.
-# SETWISE reads its block off a table of at most _TAIL! patterns; over the
-# benchmark's SETWISE heads a tail of 6 lists faster than one of 5.
+# SETWISE reads its block off a table of at most _TAIL! getters, one per
+# pattern _distinct lists for the tail; over the benchmark's SETWISE heads a
+# tail of 6 lists faster than one of 5.
 _TAIL = 6
 
 
@@ -283,7 +287,16 @@ def _stream(n: int, head: frozenset[int], mode: HeadMode) -> Iterator[Iterable[t
         pools = (sorted(head), [i for i in range(1, n + 1) if i not in head])
         in_free = [i not in head for i in range(1, n + 1)]  # picks a pool
         cut = max(n - _TAIL, 0)
-        getters = _tail_getters(cut, in_free[cut:])
+        # values, below, is the prefix, then the head values left, then the
+        # free values left, each sorted.  A tail position draws the index of
+        # a value of its class, and within a class an index rises with its
+        # value, so the patterns come in the lex order of their images.
+        heads = cut + in_free[cut:].count(False)
+        indices = (range(cut, heads), range(heads, n))
+        getters = [
+            operator.itemgetter(*range(cut), *pattern)
+            for pattern in _distinct([indices[c] for c in in_free[cut:]])
+        ]
         for prefix in _distinct([pools[c] for c in in_free[:cut]]):
             values = prefix + tuple(v for pool in pools for v in pool if v not in prefix)
             yield [get(values) for get in getters]
@@ -347,38 +360,9 @@ def _distinct(pools: Sequence[Sequence[int]]) -> Iterable[tuple[int, ...]]:
     )
 
 
-def _tail_getters(cut: int, in_free: list[bool]) -> list[operator.itemgetter]:
-    """One getter per arrangement of the tail, in the lex order of its images.
-
-    A getter maps ``prefix + head values left + free values left``, each part
-    sorted, to a whole image: it keeps the ``cut`` prefix values and puts
-    the head values left at the tail's head positions and the free values
-    left at its free ones.  A position draws from one class only, and within
-    a class a value rises with its index, so the patterns sort as the images
-    they build.
-    """
-    n = cut + len(in_free)
-    heads = cut + in_free.count(False)
-    # a + b fills the tail's head positions, then its free ones, each in
-    # turn; tail position j takes item order[j] of it
-    by_class = sorted(range(len(in_free)), key=in_free.__getitem__)
-    order = sorted(range(len(in_free)), key=by_class.__getitem__)
-    place = operator.itemgetter(*order)
-    lead = tuple(range(cut))
-    patterns = sorted(
-        lead + place(a + b)
-        for a, b in itertools.product(
-            itertools.permutations(range(cut, heads)), itertools.permutations(range(heads, n))
-        )
-    )
-    return [operator.itemgetter(*pattern) for pattern in patterns]
-
-
 def _normalize_arrangement(whole: str | Sequence[int | str] | Permutation) -> tuple[int, ...]:
     if isinstance(whole, Permutation):
         return whole.image
-    if isinstance(whole, (set, frozenset)):  # its order is the hash order
-        raise InvariantViolationError(f"an arrangement must not be a set, got {shown(whole)}")
     points = tuple(map(_point, collection("an arrangement", whole, "symbols")))
     if sorted(points) != list(range(1, len(points) + 1)):
         raise InvariantViolationError(
@@ -394,10 +378,18 @@ def _point(symbol: int | str) -> int:
         return whole("a symbol", symbol)
     text = symbol.strip().lower()
     if text.isdecimal():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # past the int-to-str digit limit
+            raise _too_many_digits("a symbol", text) from None
     if len(text) == 1 and text in _ALPHABET:
         return _ALPHABET.index(text) + 1
     raise InvariantViolationError(f"unknown symbol {symbol!r}")
+
+
+def _too_many_digits(what: str, digits: str) -> InvariantViolationError:
+    """The error for decimal text that ``int`` refuses past its digit limit."""
+    return InvariantViolationError(f"{what} has {len(digits)} digits, too many to read")
 
 
 def _normalize_sub(sub: Mapping[int, str | int]) -> dict[int, int]:

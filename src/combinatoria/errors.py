@@ -125,14 +125,23 @@ def whole(what: str, size: object) -> int:
         raise InvariantViolationError(f"{what} must be a whole number, got {shown(size)}") from None
 
 
+def of_kind(what: str, value: object, kind: type) -> None:
+    """Refuse by name an argument that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise InvariantViolationError(f"{what} must be a {kind.__name__}, got {shown(value)}")
+
+
 def collection(what: str, values: object, kind: str) -> tuple:
     """The values as a tuple; values that are no collection are refused by
-    name, and so is a mapping, since it iterates over its keys alone."""
-    if not isinstance(values, Mapping):
+    name, and so is a mapping, since it iterates over its keys alone, and a
+    set, since it iterates in hash order."""
+    if not isinstance(values, (Mapping, set, frozenset)):
         try:
             return tuple(values)
         except TypeError:
             pass
+    elif isinstance(values, (set, frozenset)):
+        raise InvariantViolationError(f"{what} must not be a set, got {shown(values)}")
     raise InvariantViolationError(f"{what} must be a collection of {kind}, got {shown(values)}")
 
 

@@ -25,7 +25,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._value import Value
-from .errors import InvariantViolationError, refuse_past, shown, whole
+from .errors import InvariantViolationError, of_kind, refuse_past, shown, whole
 from .perm import CycleType, _alpha, _trusted_cycle_type
 
 if TYPE_CHECKING:
@@ -224,6 +224,7 @@ def class_order(t: CycleType) -> ClassOrder:
     >>> class_order(CycleType(4, (1, 0, 1, 0))).order
     8
     """
+    of_kind("a cycle type", t, CycleType)
     n = t.degree
     alpha = t.alpha
     denominator = 1
@@ -235,6 +236,7 @@ def class_order(t: CycleType) -> ClassOrder:
 
 def partition_to_cycle_type(p: Partition) -> CycleType:
     """Read the parts as cycle lengths of a permutation of degree sum(parts)."""
+    of_kind("a partition", p, Partition)
     n = p.total
     if n < 1:
         raise InvariantViolationError("the empty partition names no cycle type")

@@ -24,8 +24,10 @@ partition.  Every trusted builder is a module-level name starting with
 Points from a caller are read as whole numbers, as ``CycleType`` reads its
 counts: by ``errors.wholes`` in ``Permutation``, ``Cycle`` and
 ``from_cycles``, by ``errors.whole`` in ``Permutation.__call__``.  Bools
-read as 0 and 1; a float (NaN included), text and a mapping are refused by
-name.  The letters a..z that name points in a head are ``caput``'s.
+read as 0 and 1; a float (NaN included), text, a mapping and a set, which
+iterates in hash order, are refused by name, and so is an argument of
+another kind where a ``Permutation`` is expected.  The letters a..z that
+name points in a head are ``caput``'s.
 
 The parsers check text in C-level passes (``map``, ``filter``, ``chain``)
 rather than a Python loop per point.  ``parse_one_line`` strips each
@@ -54,6 +56,7 @@ from .errors import (
     InvalidDegreeError,
     InvariantViolationError,
     collection,
+    of_kind,
     refuse_past,
     shown,
     whole,
@@ -290,6 +293,8 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     >>> str(compose(parse_cycles("(12)(3)"), parse_cycles("(13)(2)")))
     '[3,1,2]'
     """
+    of_kind("a permutation", p, Permutation)
+    of_kind("a permutation", q, Permutation)
     if p.degree != q.degree:
         raise DegreeMismatchError(
             f"cannot compose degree {p.degree} with degree {q.degree}"
@@ -298,6 +303,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 def inverse(p: Permutation) -> Permutation:
+    of_kind("a permutation", p, Permutation)
     inv = [0] * p.degree
     for i, x in enumerate(p.image, start=1):
         inv[x - 1] = i
@@ -328,17 +334,20 @@ def cycle_decomposition(p: Permutation) -> list[Cycle]:
     >>> [str(c) for c in cycle_decomposition(Permutation((1, 4, 3, 6, 5, 2)))]
     ['(1)', '(246)', '(3)', '(5)']
     """
+    of_kind("a permutation", p, Permutation)
     return [Cycle(pts) for pts in _cycles(p.image)]
 
 
 def cycle_type(p: Permutation) -> CycleType:
     """The vector counting i-cycles of p."""
+    of_kind("a permutation", p, Permutation)
     n = p.degree
     return CycleType(n, _alpha(n, map(len, _cycles(p.image))))
 
 
 def fixed_points(p: Permutation) -> frozenset[int]:
     """The points i with p(i) = i; its size equals alpha_1."""
+    of_kind("a permutation", p, Permutation)
     return frozenset(i for i, x in enumerate(p.image, start=1) if x == i)
 
 
@@ -383,6 +392,7 @@ def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
 
 def format_one_line(p: Permutation) -> str:
     """Bit-stable one-line form, e.g. ``[1,4,3,6,5,2]``."""
+    of_kind("a permutation", p, Permutation)
     return "[" + ",".join(map(str, p.image)) + "]"
 
 
@@ -398,6 +408,7 @@ def format_cycles(p: Permutation) -> str:
     trailing comma, ``(13,)``, so that it is not read as ``(1,3)``.  Either
     way ``parse_cycles`` reads the text back to the same permutation.
     """
+    of_kind("a permutation", p, Permutation)
     return "".join([str(Cycle(pts)) for pts in sorted(_cycles(p.image), key=len)])
 
 

@@ -93,6 +93,7 @@ class TestSpec:
     def test_head_contents_echo(self):
         spec = CaputSpec.parse_head(4, "1=a,3=c")
         assert spec.head_contents() == {1: "a", 3: "c"}
+        assert CaputSpec(4, spec.head_contents().keys()) == CaputSpec(4, {1, 3}) == spec
 
     def test_symbols_are_letters_or_decimal_text(self):
         # one letter a..z is its place, any case and spacing; decimal text
@@ -102,6 +103,26 @@ class TestSpec:
         assert spec == CaputSpec.parse_head(30, "1=A, 4=d, 5=5, 12=l, 26=Z, 27=27")
         assert spec.head_contents() == {1: "a", 4: "d", 5: "e", 12: "l", 26: "z", 27: "27"}
         assert CaputSpec.fixing_symbols(30, "adz") == CaputSpec(30, {1, 4, 26})
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: is_caput_of({1: "9" * 5000}, "ab"), "a symbol has 5000 digits, too many to read"),
+         (lambda: CaputSpec.fixing_symbols(4, ["9" * 5000]),
+          "a symbol has 5000 digits, too many to read"),
+         (lambda: CaputSpec.parse_head(4, "1=" + "9" * 5000),
+          "a symbol has 5000 digits, too many to read"),
+         (lambda: CaputSpec.parse_head(4, " " + "9" * 5000 + "=a"),
+          "a head position has 5000 digits, too many to read"),
+         (lambda: CaputSpec(10**5000, {10**5000}).head_contents(),
+          "head position <an int of about 5001 digits> has too many digits to write")],
+        ids=["is_caput_of", "fixing_symbols", "parse_head occupant", "parse_head position",
+             "head_contents"],
+    )
+    def test_a_number_past_the_digit_limit_is_named(self, call, message):
+        # int and str refuse such a number with a bare ValueError; the CLI
+        # lifts the limit, so this reaches library callers only
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_mode_given_as_text_is_the_mode(self):
         spec = CaputSpec(3, frozenset(), "exact")

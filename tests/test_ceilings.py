@@ -352,6 +352,73 @@ MESSAGE_SITES = {
         "point -7 outside 1..5",
         lambda: perm.from_cycles([(5, -HUGE)]),
     ),
+    # a set lists its points in hash order, not in an order the caller wrote
+    "Permutation set": (
+        lambda: perm.Permutation({3, 1, 2}),
+        "the points of a one-line form must not be a set, got {1, 2, 3}",
+        lambda: perm.Permutation({HUGE}),
+    ),
+    "Cycle set": (
+        lambda: perm.Cycle(frozenset({5, 3, 9})),
+        "the points of a cycle must not be a set, got frozenset({9, 3, 5})",
+        lambda: perm.Cycle({HUGE}),
+    ),
+    "from_cycles set": (
+        lambda: perm.from_cycles([{1, 2}]),
+        "the points of a cycle must not be a set, got {1, 2}",
+        lambda: perm.from_cycles([{HUGE}]),
+    ),
+    "CycleType set": (
+        lambda: perm.CycleType(1, {1}),
+        "the counts of a cycle type must not be a set, got {1}",
+        lambda: perm.CycleType(1, {HUGE}),
+    ),
+    # an argument of another kind, named before any attribute is read
+    "compose kind": (
+        lambda: perm.compose("[1]", perm.identity(1)),
+        "a permutation must be a Permutation, got '[1]'",
+        lambda: perm.compose(perm.identity(1), HUGE),
+    ),
+    "inverse kind": (
+        lambda: perm.inverse((1,)),
+        "a permutation must be a Permutation, got (1,)",
+        lambda: perm.inverse((HUGE,)),
+    ),
+    "cycle_type kind": (
+        lambda: perm.cycle_type([1]),
+        "a permutation must be a Permutation, got [1]",
+        lambda: perm.cycle_type(HUGE),
+    ),
+    "cycle_decomposition kind": (
+        lambda: perm.cycle_decomposition("[1]"),
+        "a permutation must be a Permutation, got '[1]'",
+        lambda: perm.cycle_decomposition(HUGE),
+    ),
+    "fixed_points kind": (
+        lambda: perm.fixed_points([1]),
+        "a permutation must be a Permutation, got [1]",
+        lambda: perm.fixed_points([HUGE]),
+    ),
+    "format_one_line kind": (
+        lambda: perm.format_one_line([1]),
+        "a permutation must be a Permutation, got [1]",
+        lambda: perm.format_one_line(HUGE),
+    ),
+    "format_cycles kind": (
+        lambda: perm.format_cycles((1,)),
+        "a permutation must be a Permutation, got (1,)",
+        lambda: perm.format_cycles((HUGE,)),
+    ),
+    "class_order kind": (
+        lambda: partitions.class_order(perm.identity(3)),
+        "a cycle type must be a CycleType, got Permutation((1, 2, 3))",
+        lambda: partitions.class_order(HUGE),
+    ),
+    "partition_to_cycle_type kind": (
+        lambda: partitions.partition_to_cycle_type((1,)),
+        "a partition must be a Partition, got (1,)",
+        lambda: partitions.partition_to_cycle_type(HUGE),
+    ),
     "Partition": (
         lambda: partitions.Partition((1, 2)),
         "parts must be non-increasing positives: (1, 2)",
