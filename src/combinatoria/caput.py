@@ -19,7 +19,9 @@ listing at position 1 is `problems.vicinity_classes`.
 
 A symbol, one letter a..z, decimal text or a whole number, names a point of
 the reference arrangement: `_point` reads every symbol the module takes, and
-`head_contents` writes the letters back, numbers past z.
+`head_contents` writes the letters back, numbers past z.  `errors.decimal`
+reads every number in head text, a `parse_head` position or a decimal
+symbol: digits alone, no sign or underscore, and no more than `int` reads.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .errors import (
     InvalidDegreeError,
     InvariantViolationError,
     collection,
+    decimal,
     of_kind,
     refuse_past,
     shown,
@@ -115,9 +118,14 @@ class CaputSpec(Value):
     ) -> "CaputSpec":
         """Fix each symbol at the place it holds in the reference arrangement.
 
-        ``CaputSpec.fixing_symbols(4, "a")`` pins a at position 1.
+        ``CaputSpec.fixing_symbols(4, "a")`` pins a at position 1.  The
+        symbols are read as a head's positions are: a set passes, and a
+        mapping or a value that is no collection is refused by name.
         """
-        return cls(degree=degree, head=frozenset(map(_point, symbols)), mode=mode)
+        if isinstance(symbols, (set, frozenset)):
+            symbols = tuple(symbols)  # a head has no order, so a set may name it
+        points = map(_point, collection("the symbols of a head", symbols, "symbols"))
+        return cls(degree=degree, head=frozenset(points), mode=mode)
 
     @classmethod
     def parse_head(
@@ -130,6 +138,7 @@ class CaputSpec(Value):
         pins parts in their own places; ``1=b`` would displace b, which is a
         different kind of constraint and is rejected).
         """
+        of_kind("the text of a head", text, str)
         positions = set()
         for pair in filter(None, (s.strip() for s in text.split(","))):
             if "=" not in pair:
@@ -137,14 +146,7 @@ class CaputSpec(Value):
                     f"head entry {pair!r} must look like position=occupant"
                 )
             pos_text, occupant = pair.split("=", 1)
-            try:
-                pos = int(pos_text)
-            except ValueError:
-                if pos_text.strip().isdecimal():  # past int's digit limit
-                    raise _too_many_digits("a head position", pos_text.strip()) from None
-                raise InvariantViolationError(
-                    f"head position {pos_text!r} is not a number"
-                ) from None
+            pos = decimal("a head position", pos_text)
             if _point(occupant) != pos:
                 raise InvariantViolationError(
                     f"head entry {pair!r}: {occupant.strip()!r} is not the occupant "
@@ -378,18 +380,10 @@ def _point(symbol: int | str) -> int:
         return whole("a symbol", symbol)
     text = symbol.strip().lower()
     if text.isdecimal():
-        try:
-            return int(text)
-        except ValueError:  # past the int-to-str digit limit
-            raise _too_many_digits("a symbol", text) from None
+        return decimal("a symbol", text)
     if len(text) == 1 and text in _ALPHABET:
         return _ALPHABET.index(text) + 1
     raise InvariantViolationError(f"unknown symbol {symbol!r}")
-
-
-def _too_many_digits(what: str, digits: str) -> InvariantViolationError:
-    """The error for decimal text that ``int`` refuses past its digit limit."""
-    return InvariantViolationError(f"{what} has {len(digits)} digits, too many to read")
 
 
 def _normalize_sub(sub: Mapping[int, str | int]) -> dict[int, int]:

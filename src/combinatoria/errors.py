@@ -157,6 +157,22 @@ def wholes(what: str, values: object) -> tuple[int, ...]:
         return tuple([whole(f"each of {what}", value) for value in values])
 
 
+def decimal(what: str, text: str) -> int:
+    """The number decimal text names, read with ``int`` once stripped; text
+    that is not decimal digits alone, a sign or an underscore included, is
+    refused quoting a few dozen characters and its length, and more digits
+    than ``int`` reads are refused by their count."""
+    digits = text.strip()
+    size = len(digits)
+    if not digits.isdecimal():
+        quoted = repr(digits) if size <= 40 else f"{digits[:32]!r}… ({size} characters)"
+        raise InvariantViolationError(f"{what} {quoted} is not a number")
+    try:
+        return int(digits)
+    except ValueError:  # past the int-to-str digit limit
+        raise InvariantViolationError(f"{what} has {size} digits, too many to read") from None
+
+
 def refuse_past(row: str, size: object) -> int:
     """The size as an int, refused if it is not a whole number or lies past
     the row's ceiling; the ceiling's message never renders the size."""

@@ -30,10 +30,15 @@ another kind where a ``Permutation`` is expected.  The letters a..z that
 name points in a head are ``caput``'s.
 
 The parsers check text in C-level passes (``map``, ``filter``, ``chain``)
-rather than a Python loop per point.  ``parse_one_line`` strips each
-comma-split item, U+001C..U+001F included as ``int`` would not, drops the
-empty ones and reads the rest with ``int`` in one pass; the image is then
-checked once, by ``Permutation``.
+rather than a Python loop per point, and refuse an argument that is no
+``str`` by name.  ``parse_one_line`` strips each comma-split item,
+U+001C..U+001F included as ``int`` would not, drops the empty ones and
+reads the rest with ``int`` in one pass; the image is then checked once, by
+``Permutation``.  ``parse_cycles`` reads each cycle in one ``int`` pass too,
+over its comma- or space-separated points or else its run of one-digit
+points.  An item ``int`` refuses ends in "non-integer point in …", unless
+it is decimal text of more digits than ``int`` reads, which
+``errors.decimal`` names.
 
 The cycle readers ``cycle_decomposition``, ``cycle_type`` and
 ``format_cycles`` read one private walk of the image, ``_cycles``, and still
@@ -56,6 +61,7 @@ from .errors import (
     InvalidDegreeError,
     InvariantViolationError,
     collection,
+    decimal,
     of_kind,
     refuse_past,
     shown,
@@ -414,6 +420,7 @@ def format_cycles(p: Permutation) -> str:
 
 def parse_one_line(text: str) -> Permutation:
     """Parse ``[1,4,3,6,5,2]`` (spaces after commas tolerated)."""
+    of_kind("the text of a one-line form", text, str)
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise InvariantViolationError(f"one-line form must look like [1,2,3]: {text!r}")
@@ -421,11 +428,7 @@ def parse_one_line(text: str) -> Permutation:
     items = list(filter(None, map(str.strip, body[1:-1].split(","))))
     if not items:
         raise InvalidDegreeError("empty one-line form has no degree")
-    try:
-        image = tuple(map(int, items))
-    except ValueError:
-        raise InvariantViolationError(f"non-integer point in {text!r}") from None
-    return Permutation(image)
+    return Permutation(_points(items, text))
 
 
 def parse_cycles(text: str) -> Permutation:
@@ -436,6 +439,7 @@ def parse_cycles(text: str) -> Permutation:
     The degree is the largest point mentioned, which matches the canonical
     form (every 1-cycle printed).
     """
+    of_kind("the text of a cycle form", text, str)
     body = text.strip()
     if not body:
         raise InvalidDegreeError("empty cycle form has no degree")
@@ -447,21 +451,26 @@ def parse_cycles(text: str) -> Permutation:
         chunk = chunk.strip()
         if not chunk:
             raise InvariantViolationError(f"empty cycle in {text!r}")
-        if "," in chunk or " " in chunk:
-            try:
-                pts = tuple(map(int, chunk.replace(",", " ").split()))
-            except ValueError:
-                raise InvariantViolationError(f"non-integer point in {text!r}") from None
-        elif chunk.isdecimal():
-            pts = tuple(map(int, chunk))
-        else:
-            raise InvariantViolationError(f"unreadable cycle {chunk!r} in {text!r}")
-        cycles.append(pts)
+        separated = "," in chunk or " " in chunk
+        cycles.append(_points(chunk.replace(",", " ").split() if separated else chunk, text))
     return from_cycles(cycles)
+
+
+def _points(items: Sequence[str], text: str) -> tuple[int, ...]:
+    """The points of a parser's items, read with ``int`` in one pass; an
+    item of more digits than ``int`` reads is named, any other refused item
+    ends in the non-integer message."""
+    try:
+        return tuple(map(int, items))
+    except ValueError:
+        for item in filter(str.isdecimal, items):
+            decimal("a point", item)  # refuses the first past the digit limit
+        raise InvariantViolationError(f"non-integer point in {text!r}") from None
 
 
 def parse_permutation(text: str) -> Permutation:
     """Accept either textual form, chosen by the leading bracket."""
+    of_kind("the text of a permutation", text, str)
     body = text.strip()
     if body.startswith("["):
         return parse_one_line(body)

@@ -124,6 +124,30 @@ class TestSpec:
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize(
+        "position, quoted",
+        [("+1", "'+1'"), ("1_0", "'1_0'"), ("-1", "'-1'"), (" x ", "'x'"),
+         ("-" + "9" * 5000, f"'-{'9' * 31}'… (5001 characters)"),
+         ("+" + "9" * 5000, f"'+{'9' * 31}'… (5001 characters)"),
+         ("1_" + "9" * 5000, f"'1_{'9' * 30}'… (5002 characters)")],
+        ids=["plus", "underscore", "minus", "letter", "minus long", "plus long",
+             "underscore long"],
+    )
+    def test_a_head_position_is_decimal_digits_alone(self, position, quoted):
+        # int would read a sign and underscores; a head position is read as
+        # decimal digits, and long text is quoted in part, then its length
+        message = f"a head position {quoted} is not a number"
+        with pytest.raises(InvariantViolationError) as refused:
+            CaputSpec.parse_head(20, f"{position}=j")
+        assert str(refused.value) == message
+        assert len(message) < 200
+
+    def test_fixing_symbols_reads_a_collection(self):
+        # a head has no order, so a set of symbols names one; a mapping, which
+        # would read as its keys, is refused (see test_ceilings.MESSAGE_SITES)
+        assert CaputSpec.fixing_symbols(4, {"a", 3}) == CaputSpec(4, {1, 3})
+        assert CaputSpec.fixing_symbols(4, frozenset("ac")) == CaputSpec.fixing_symbols(4, "ac")
+
     def test_mode_given_as_text_is_the_mode(self):
         spec = CaputSpec(3, frozenset(), "exact")
         assert spec.mode is HeadMode.EXACT

@@ -28,6 +28,7 @@ from combinatoria.errors import (
     CEILINGS,
     CombinatoriaError,
     EnumerationTooLargeError,
+    InvalidDegreeError,
     InvariantViolationError,
     shown,
 )
@@ -409,6 +410,27 @@ MESSAGE_SITES = {
         "a permutation must be a Permutation, got (1,)",
         lambda: perm.format_cycles((HUGE,)),
     ),
+    # text of another kind, named before any str method is called on it
+    "parse_one_line kind": (
+        lambda: perm.parse_one_line(5),
+        "the text of a one-line form must be a str, got 5",
+        lambda: perm.parse_one_line(HUGE),
+    ),
+    "parse_cycles kind": (
+        lambda: perm.parse_cycles(b"(1)"),
+        "the text of a cycle form must be a str, got b'(1)'",
+        lambda: perm.parse_cycles((HUGE,)),
+    ),
+    "parse_permutation kind": (
+        lambda: perm.parse_permutation(None),
+        "the text of a permutation must be a str, got None",
+        lambda: perm.parse_permutation(HUGE),
+    ),
+    "parse_head kind": (
+        lambda: CaputSpec.parse_head(3, 5),
+        "the text of a head must be a str, got 5",
+        lambda: CaputSpec.parse_head(3, HUGE),
+    ),
     "class_order kind": (
         lambda: partitions.class_order(perm.identity(3)),
         "a cycle type must be a CycleType, got Permutation((1, 2, 3))",
@@ -438,6 +460,22 @@ MESSAGE_SITES = {
         lambda: CaputSpec.fixing_symbols(4, [1.0]),
         "a symbol must be a whole number, got 1.0",
         lambda: CaputSpec.fixing_symbols(4, [(HUGE,)]),
+    ),
+    # the symbols are read as a head's positions are: a set passes
+    "fixing_symbols mapping": (
+        lambda: CaputSpec.fixing_symbols(4, {3: "a"}),
+        "the symbols of a head must be a collection of symbols, got {3: 'a'}",
+        lambda: CaputSpec.fixing_symbols(4, {HUGE: "a"}),
+    ),
+    "fixing_symbols no collection": (
+        lambda: CaputSpec.fixing_symbols(4, 5),
+        "the symbols of a head must be a collection of symbols, got 5",
+        lambda: CaputSpec.fixing_symbols(4, HUGE),
+    ),
+    "fixing_symbols none": (
+        lambda: CaputSpec.fixing_symbols(4, None),
+        "the symbols of a head must be a collection of symbols, got None",
+        lambda: CaputSpec.fixing_symbols(4, -HUGE),
     ),
     # the oracle reads its head and mode as CaputSpec does
     "count_caput_by_filter head": (
@@ -496,6 +534,59 @@ MESSAGE_SITES = {
         lambda: problems.ProblemResult(1, {}, HUGE, witnesses=()),
     ),
 }
+
+
+# error paths at the edge of a domain, each pinned by its class and message
+EDGE_REFUSALS = {
+    "from_cycles empty": (
+        lambda: perm.from_cycles([]),
+        InvalidDegreeError,
+        "cannot infer a degree from an empty cycle list",
+    ),
+    "Cycle empty": (
+        lambda: perm.Cycle(()), InvariantViolationError, "a cycle needs at least one point"
+    ),
+    "CycleType degree 0": (
+        lambda: perm.CycleType(0, ()),
+        InvalidDegreeError,
+        "degree 0 is not admitted; degrees start at 1",
+    ),
+    "parse_one_line no brackets": (
+        lambda: perm.parse_one_line("1,2"),
+        InvariantViolationError,
+        "one-line form must look like [1,2,3]: '1,2'",
+    ),
+    "parse_cycles empty": (
+        lambda: perm.parse_cycles(""), InvalidDegreeError, "empty cycle form has no degree"
+    ),
+    "cycle_type_census 0": (
+        lambda: oracle.cycle_type_census(0),
+        InvalidDegreeError,
+        "degree 0 is not admitted; degrees start at 1",
+    ),
+    "count_partitions_by_enumeration -1": (
+        lambda: oracle.count_partitions_by_enumeration(-1),
+        InvariantViolationError,
+        "partitions are defined for n >= 0",
+    ),
+    "vicinity_classes 0": (
+        lambda: problems.vicinity_classes(0), InvalidDegreeError, "vicinity classes need n >= 1"
+    ),
+    "derangements_by_inclusion_exclusion -1": (
+        lambda: caput.derangements_by_inclusion_exclusion(-1),
+        InvariantViolationError,
+        "derangements are defined for m >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_REFUSALS)
+def test_a_request_at_the_edge_of_its_domain_is_refused_by_name(name):
+    call, error, message = EDGE_REFUSALS[name]
+    with pytest.raises(CombinatoriaError) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 # sizes that are not whole numbers, each read through operator.index

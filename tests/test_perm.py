@@ -407,6 +407,24 @@ class TestTextFormats:
         with pytest.raises((InvariantViolationError, InvalidDegreeError), match=error):
             parse_one_line(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" + "9" * 5000 + "]", "[1, " + "9" * 5000 + "]", "(1 " + "9" * 5000 + ")",
+         "(1)(2," + "9" * 5000 + ")"],
+        ids=["one-line", "one-line second", "cycle spaced", "cycle commas"],
+    )
+    def test_a_point_past_the_digit_limit_is_named(self, text):
+        # int refuses it as it refuses "x"; the point is named, not the text
+        with pytest.raises(InvariantViolationError) as refused:
+            parse_permutation(text)
+        assert str(refused.value) == "a point has 5000 digits, too many to read"
+
+    @pytest.mark.parametrize("text", ["(12x)", "(1\t2)", "(1)(+2)", "(٢x)"])
+    def test_a_cycle_of_unreadable_digits_names_a_non_integer_point(self, text):
+        with pytest.raises(InvariantViolationError) as refused:
+            parse_cycles(text)
+        assert str(refused.value) == f"non-integer point in {text!r}"
+
     def test_cycle_text_past_the_degree_ceiling_is_refused(self):
         assert parse_cycles(f"(1 {CYCLE_DEGREE})").degree == CYCLE_DEGREE
         with pytest.raises(EnumerationTooLargeError, match=str(CYCLE_DEGREE)):
