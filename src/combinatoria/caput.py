@@ -22,6 +22,7 @@ the reference arrangement: `_point` reads every symbol the module takes, and
 `head_contents` writes the letters back, numbers past z.  `errors.decimal`
 reads every number in head text, a `parse_head` position or a decimal
 symbol: digits alone, no sign or underscore, and no more than `int` reads.
+Messages quote head text and symbols through `errors.quoted`.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .errors import (
     collection,
     decimal,
     of_kind,
+    quoted,
     refuse_past,
     shown,
     whole,
@@ -143,13 +145,13 @@ class CaputSpec(Value):
         for pair in filter(None, (s.strip() for s in text.split(","))):
             if "=" not in pair:
                 raise InvariantViolationError(
-                    f"head entry {pair!r} must look like position=occupant"
+                    f"head entry {quoted(pair)} must look like position=occupant"
                 )
             pos_text, occupant = pair.split("=", 1)
             pos = decimal("a head position", pos_text)
             if _point(occupant) != pos:
                 raise InvariantViolationError(
-                    f"head entry {pair!r}: {occupant.strip()!r} is not the occupant "
+                    f"head entry {quoted(pair)}: {quoted(occupant.strip())} is not the occupant "
                     f"of position {pos} in the reference arrangement"
                 )
             positions.add(pos)
@@ -383,7 +385,7 @@ def _point(symbol: int | str) -> int:
         return decimal("a symbol", text)
     if len(text) == 1 and text in _ALPHABET:
         return _ALPHABET.index(text) + 1
-    raise InvariantViolationError(f"unknown symbol {symbol!r}")
+    raise InvariantViolationError(f"unknown symbol {quoted(symbol)}")
 
 
 def _normalize_sub(sub: Mapping[int, str | int]) -> dict[int, int]:

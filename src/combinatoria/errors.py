@@ -8,6 +8,15 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
+__all__ = [
+    "CombinatoriaError",
+    "InvalidDegreeError",
+    "DegreeMismatchError",
+    "InvariantViolationError",
+    "EnumerationTooLargeError",
+    "GroundSetMismatchError",
+]
+
 
 class CombinatoriaError(ValueError):
     """Base class for every error raised by this package."""
@@ -116,6 +125,14 @@ def shown(value: object) -> str:
         return f"<a {type(value).__name__} holding an int too long to print>"
 
 
+def quoted(text: str) -> str:
+    """The repr of a caller's text for a message: whole up to 40 characters,
+    else its first 32 and its length, so a message stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:32]!r}… ({len(text)} characters)"
+
+
 def whole(what: str, size: object) -> int:
     """The size as an int, read through ``operator.index``: ints pass, bools
     read as 0 and 1, and anything else, a float included, is refused by name."""
@@ -160,16 +177,15 @@ def wholes(what: str, values: object) -> tuple[int, ...]:
 def decimal(what: str, text: str) -> int:
     """The number decimal text names, read with ``int`` once stripped; text
     that is not decimal digits alone, a sign or an underscore included, is
-    refused quoting a few dozen characters and its length, and more digits
-    than ``int`` reads are refused by their count."""
+    refused as ``quoted`` quotes it, and more digits than ``int`` reads are
+    refused by their count."""
     digits = text.strip()
-    size = len(digits)
     if not digits.isdecimal():
-        quoted = repr(digits) if size <= 40 else f"{digits[:32]!r}… ({size} characters)"
-        raise InvariantViolationError(f"{what} {quoted} is not a number")
+        raise InvariantViolationError(f"{what} {quoted(digits)} is not a number")
     try:
         return int(digits)
     except ValueError:  # past the int-to-str digit limit
+        size = len(digits)
         raise InvariantViolationError(f"{what} has {size} digits, too many to read") from None
 
 

@@ -36,9 +36,11 @@ U+001C..U+001F included as ``int`` would not, drops the empty ones and
 reads the rest with ``int`` in one pass; the image is then checked once, by
 ``Permutation``.  ``parse_cycles`` reads each cycle in one ``int`` pass too,
 over its comma- or space-separated points or else its run of one-digit
-points.  An item ``int`` refuses ends in "non-integer point in …", unless
-it is decimal text of more digits than ``int`` reads, which
-``errors.decimal`` names.
+points.  Each pass runs only once the items joined are decimal digits
+alone, so a sign or an underscore, which ``int`` would read, ends in
+"non-integer point in …" as any other refused item does, unless it is
+decimal text of more digits than ``int`` reads, which ``errors.decimal``
+names.  Messages quote the caller's text through ``errors.quoted``.
 
 The cycle readers ``cycle_decomposition``, ``cycle_type`` and
 ``format_cycles`` read one private walk of the image, ``_cycles``, and still
@@ -63,6 +65,7 @@ from .errors import (
     collection,
     decimal,
     of_kind,
+    quoted,
     refuse_past,
     shown,
     whole,
@@ -423,7 +426,7 @@ def parse_one_line(text: str) -> Permutation:
     of_kind("the text of a one-line form", text, str)
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        raise InvariantViolationError(f"one-line form must look like [1,2,3]: {text!r}")
+        raise InvariantViolationError(f"one-line form must look like [1,2,3]: {quoted(text)}")
     # int() strips less than str.strip (not U+001C..U+001F), so strip here
     items = list(filter(None, map(str.strip, body[1:-1].split(","))))
     if not items:
@@ -444,28 +447,31 @@ def parse_cycles(text: str) -> Permutation:
     if not body:
         raise InvalidDegreeError("empty cycle form has no degree")
     if not (body.startswith("(") and body.endswith(")")):
-        raise InvariantViolationError(f"cycle form must look like (1)(23): {text!r}")
+        raise InvariantViolationError(f"cycle form must look like (1)(23): {quoted(text)}")
     chunks = body[1:-1].split(")(")
     cycles: list[tuple[int, ...]] = []
     for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
-            raise InvariantViolationError(f"empty cycle in {text!r}")
+            raise InvariantViolationError(f"empty cycle in {quoted(text)}")
         separated = "," in chunk or " " in chunk
         cycles.append(_points(chunk.replace(",", " ").split() if separated else chunk, text))
     return from_cycles(cycles)
 
 
 def _points(items: Sequence[str], text: str) -> tuple[int, ...]:
-    """The points of a parser's items, read with ``int`` in one pass; an
+    """The points of a parser's items, read with ``int`` in one pass once
+    they are decimal digits alone, so a sign or an underscore is refused; an
     item of more digits than ``int`` reads is named, any other refused item
     ends in the non-integer message."""
-    try:
-        return tuple(map(int, items))
-    except ValueError:
-        for item in filter(str.isdecimal, items):
-            decimal("a point", item)  # refuses the first past the digit limit
-        raise InvariantViolationError(f"non-integer point in {text!r}") from None
+    if "".join(items).isdecimal():
+        try:
+            return tuple(map(int, items))
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    for item in filter(str.isdecimal, items):
+        decimal("a point", item)  # refuses the first past the digit limit
+    raise InvariantViolationError(f"non-integer point in {quoted(text)}")
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -477,6 +483,6 @@ def parse_permutation(text: str) -> Permutation:
     if body.startswith("("):
         return parse_cycles(body)
     raise InvariantViolationError(
-        f"expected [one-line] or (cycle) notation, got {text!r}"
+        f"expected [one-line] or (cycle) notation, got {quoted(text)}"
     )
 

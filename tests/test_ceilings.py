@@ -30,6 +30,7 @@ from combinatoria.errors import (
     EnumerationTooLargeError,
     InvalidDegreeError,
     InvariantViolationError,
+    quoted,
     shown,
 )
 
@@ -743,3 +744,34 @@ def test_shown_is_repr_for_printable_values():
         assert shown(value) == repr(value)
     assert shown(HUGE) == "<an int of about 5001 digits>"
     assert shown((1, HUGE)) == "<a tuple holding an int too long to print>"
+
+
+# name: (a call that repeats long text, the text its message quotes)
+LONG_TEXT_SITES = {
+    "parse_one_line signed": (
+        lambda: perm.parse_one_line("[+" + "9" * 5000 + "]"), "[+" + "9" * 5000 + "]"
+    ),
+    "parse_one_line many items": (
+        lambda: perm.parse_one_line("[" + "1," * 3000 + "x]"), "[" + "1," * 3000 + "x]"
+    ),
+    "parse_permutation": (lambda: perm.parse_permutation("x" * 5000), "x" * 5000),
+    "parse_cycles": (lambda: perm.parse_cycles("(" + "1" * 5000), "(" + "1" * 5000),
+    "parse_head symbol": (lambda: CaputSpec.parse_head(4, "1=" + "x" * 5000), "x" * 5000),
+    "parse_head entry": (lambda: CaputSpec.parse_head(4, "1" * 5000), "1" * 5000),
+}
+
+
+@pytest.mark.parametrize("name", LONG_TEXT_SITES)
+def test_messages_quote_long_text_by_its_head_and_length(name):
+    call, text = LONG_TEXT_SITES[name]
+    with pytest.raises(CombinatoriaError) as refused:
+        call()
+    message = str(refused.value)
+    assert len(message) < 200, message
+    assert f"{text[:32]!r}… ({len(text)} characters)" in message
+
+
+def test_quoted_is_repr_up_to_forty_characters():
+    for text in ("", "x", "[1,2]", "é" * 40, "1" * 40):
+        assert quoted(text) == repr(text)
+    assert quoted("a" * 41) == f"{'a' * 32!r}… (41 characters)"

@@ -6,6 +6,9 @@ must not load it, and the first class listing must.  Its one public name is
 ``combinatoria.ClassOrder``.  The benchmark's import timings read one ``-X
 importtime`` line per layer from ``import combinatoria.cli``, so every layer
 it names stays imported there.
+
+The package republishes the ``__all__`` of six library modules, and names
+only ``ClassOrder``, ``OracleReport`` and ``verify_all`` itself.
 """
 import importlib.util
 import os
@@ -55,3 +58,28 @@ def test_every_benchmark_layer_is_imported_by_the_cli():
     }
     expected = {"combinatoria", *(f"combinatoria.{layer}" for layer in tracer.LAYERS)}
     assert expected <= imported, sorted(expected - imported)
+
+
+REPUBLISHED = ("caput", "errors", "genealogy", "partitions", "perm", "problems")
+
+STAR_IMPORT = """
+import combinatoria
+namespace = {}
+exec("from combinatoria import *", namespace)
+missing = [name for name in combinatoria.__all__ if name not in namespace]
+assert not missing, missing
+"""
+
+
+def test_the_package_publishes_each_module_all_once():
+    import combinatoria
+
+    names = combinatoria.__all__
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    expected = {"ClassOrder", "OracleReport", "verify_all"}
+    for module in REPUBLISHED:
+        expected.update(importlib.import_module(f"combinatoria.{module}").__all__)
+    assert set(names) == expected
+    for name in names:
+        assert getattr(combinatoria, name) is not None, name
+    _python("-c", STAR_IMPORT)

@@ -393,7 +393,7 @@ class TestTextFormats:
 
     @pytest.mark.parametrize(
         "text",
-        ["[ 2 ,\t1 ]", "[2,,1]", "[2,1,]", " [\t2, 1] ", "[\x1c2,1\x1f]", "[٢,١]", "[+2,1]"],
+        ["[ 2 ,\t1 ]", "[2,,1]", "[2,1,]", " [\t2, 1] ", "[\x1c2,1\x1f]", "[٢,١]"],
     )
     def test_one_line_items_are_stripped_and_empty_items_skipped(self, text):
         assert parse_one_line(text).image == (2, 1)
@@ -401,7 +401,8 @@ class TestTextFormats:
     @pytest.mark.parametrize(
         "text, error",
         [("[2, 1.0]", "non-integer point"), ("[2, 1 3]", "non-integer point"),
-         ("[ , \t]", "no degree"), ("[²,1]", "non-integer point")],
+         ("[ , \t]", "no degree"), ("[²,1]", "non-integer point"),
+         ("[+2,1]", "non-integer point")],
     )
     def test_one_line_item_that_is_no_integer_is_refused(self, text, error):
         with pytest.raises((InvariantViolationError, InvalidDegreeError), match=error):
@@ -419,7 +420,7 @@ class TestTextFormats:
             parse_permutation(text)
         assert str(refused.value) == "a point has 5000 digits, too many to read"
 
-    @pytest.mark.parametrize("text", ["(12x)", "(1\t2)", "(1)(+2)", "(٢x)"])
+    @pytest.mark.parametrize("text", ["(12x)", "(1\t2)", "(1)(+2)", "(٢x)", "(1_0 2)", "(1 +2)"])
     def test_a_cycle_of_unreadable_digits_names_a_non_integer_point(self, text):
         with pytest.raises(InvariantViolationError) as refused:
             parse_cycles(text)

@@ -20,7 +20,8 @@ allowlist.
 
 A submodule's ``__all__`` names only the classes and functions it defines:
 one public name per callable, and the rule by which the benchmark's tracer
-picks each layer's names.  The package ``__init__`` re-exports them.
+picks each layer's names.  The package ``__init__`` republishes the
+``__all__`` of each library module but ``oracle`` with a wildcard import.
 """
 import functools
 import importlib
