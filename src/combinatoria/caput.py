@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from ._value import Value
 from .errors import (
     GroundSetMismatchError,
-    InvalidDegreeError,
     InvariantViolationError,
     collection,
     decimal,
@@ -91,9 +90,7 @@ class CaputSpec(Value):
         head: frozenset[int] = frozenset(),
         mode: HeadMode | str = HeadMode.LOOSE,
     ) -> None:
-        degree = whole("the degree of a head", degree)
-        if degree < 1:
-            raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+        degree = whole("the degree of a head", degree, 1)
         if isinstance(head, (set, frozenset)):
             head = tuple(head)  # a head has no order, so a set may name it
         head = frozenset(wholes("the positions of a head", head))
@@ -173,9 +170,7 @@ def derangements(m: int) -> int:
     D(0) = 1 (the empty permutation fixes nothing, vacuously), D(1) = 0,
     then D(m) = (m-1) * (D(m-1) + D(m-2)).
     """
-    m = refuse_past("derangement count", m)
-    if m < 0:
-        raise InvariantViolationError("derangements are defined for m >= 0")
+    m = refuse_past("derangement count", m, 0)
     # Only the last two values are kept: a table of every D(k) would grow
     # quadratically in memory with m.  The k = 1 step multiplies the unused
     # D(-1) by 0.
@@ -192,9 +187,7 @@ def derangements_by_inclusion_exclusion(m: int) -> int:
     sum has m + 1 terms of up to m! each, so it is refused past its own row
     of ``CEILINGS``, far below the derangement row.
     """
-    m = refuse_past("inclusion-exclusion sum", m)
-    if m < 0:
-        raise InvariantViolationError("derangements are defined for m >= 0")
+    m = refuse_past("inclusion-exclusion sum", m, 0)
     return sum((-1) ** j * math.comb(m, j) * math.factorial(m - j) for j in range(m + 1))
 
 

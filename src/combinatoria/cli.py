@@ -31,7 +31,7 @@ from . import oracle as oracle_mod
 from . import partitions as partitions_mod
 from . import problems as problems_mod
 from .caput import CaputSpec, HeadMode, count_caput, enumerate_caput
-from .errors import CombinatoriaError
+from .errors import CombinatoriaError, decimal, quoted
 from .perm import (
     Permutation,
     compose,
@@ -58,14 +58,31 @@ def _perm_payload(p: Permutation) -> dict:
     return {"degree": p.degree, **dict(zip(_PERM_HEADER, _perm_row(p)))}
 
 
+def _signed_decimal(text: str) -> int:
+    """Decimal digits alone, read by ``errors.decimal``, or a minus sign before
+    them, whose negative the library refuses below its floor."""
+    digits = text.strip()
+    negative = digits[:1] == "-" and digits[1:2].isdecimal()
+    value = decimal("a number", digits[negative:])
+    return -value if negative else value
+
+
+def _int_option(text: str) -> int:
+    """The argparse type of every numeric option."""
+    try:
+        return _signed_decimal(text)
+    except CombinatoriaError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
 def _parse_problem_id(text: str):
     if text.strip().lower() == problems_mod.SIMPLICITER:
         return problems_mod.SIMPLICITER
     try:
-        return int(text)
-    except ValueError:
+        return _signed_decimal(text)
+    except CombinatoriaError:
         raise argparse.ArgumentTypeError(
-            f"problem id must be 1..12 or {problems_mod.SIMPLICITER!r}, got {text!r}"
+            f"problem id must be 1..12 or {problems_mod.SIMPLICITER!r}, got {quoted(text)}"
         ) from None
 
 
@@ -309,17 +326,17 @@ def render_human(header: list[str], rows: Iterable[list]) -> str:
 # keywords).  build_parser gives every leaf --format first, so to add a leaf,
 # write its handler above and add one row here.
 
-_N = [("--n", {"type": int, "required": True})]
-_GRADUS = [("--gradus", {"type": int, "required": True})]
+_N = [("--n", {"type": _int_option, "required": True})]
+_GRADUS = [("--gradus", {"type": _int_option, "required": True})]
 _CAPUT = [
-    ("--n", {"type": int, "required": True, "help": "degree"}),
+    ("--n", {"type": _int_option, "required": True, "help": "degree"}),
     ("--head", {"default": "", "help": "comma list like 1=a,3=c; empty for no constraint"}),
     ("--mode", {"choices": [m.value for m in HeadMode], "default": HeadMode.LOOSE.value}),
 ]
 _PROBLEM = [
     ("--id", {"type": _parse_problem_id, "required": True}),
-    ("--n", {"type": int, "required": True}),
-    ("--k", {"type": int, "default": None}),
+    ("--n", {"type": _int_option, "required": True}),
+    ("--k", {"type": _int_option, "default": None}),
 ]
 _P = [("p", {})]
 
@@ -359,7 +376,8 @@ _COMMANDS = {
          _cmd_genealogy_discerptiones),
     ]),
     "verify": ("run every closed form against the brute-force oracle", [
-        (None, None, [("--max-n", {"type": int, "default": 6, "dest": "max_n"})], _cmd_verify),
+        (None, None, [("--max-n", {"type": _int_option, "default": 6, "dest": "max_n"})],
+         _cmd_verify),
     ]),
 }
 

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the table of size ceilings.
-
-All of them subclass ValueError so that callers who do not care about the
-distinction can catch the usual thing.
+"""Exception types shared across the package, the table of size ceilings, and
+the readers of what callers pass.  All of them subclass ValueError so that
+callers who do not care about the distinction can catch the usual thing.
+``whole`` and ``refuse_past`` read a size, refused if it is not a whole
+number, below the floor its caller names, or past its row of ``CEILINGS``.
 """
 import operator
 from collections.abc import Mapping
@@ -23,7 +24,7 @@ class CombinatoriaError(ValueError):
 
 
 class InvalidDegreeError(CombinatoriaError):
-    """A degree outside the supported range (degrees start at 1)."""
+    """A size below its floor of 1: a degree, or a count that starts at 1."""
 
 
 class DegreeMismatchError(CombinatoriaError):
@@ -120,9 +121,13 @@ def shown(value: object) -> str:
         return repr(value)
     except ValueError:
         if isinstance(value, int):
-            # log10(2) = 0.30103: the digit count, without converting
-            return f"<an int of about {int(value.bit_length() * 0.30103) + 1} digits>"
+            return _about(value)
         return f"<a {type(value).__name__} holding an int too long to print>"
+
+
+def _about(value: int) -> str:
+    # log10(2) = 0.30103: the digit count, without converting
+    return f"<an int of about {int(value.bit_length() * 0.30103) + 1} digits>"
 
 
 def quoted(text: str) -> str:
@@ -133,13 +138,19 @@ def quoted(text: str) -> str:
     return f"{text[:32]!r}… ({len(text)} characters)"
 
 
-def whole(what: str, size: object) -> int:
+def whole(what: str, size: object, least: int | None = None) -> int:
     """The size as an int, read through ``operator.index``: ints pass, bools
-    read as 0 and 1, and anything else, a float included, is refused by name."""
+    read as 0 and 1, and anything else, a float included, is refused by name,
+    as is a size below the floor ``least`` (below 1 by ``InvalidDegreeError``)."""
     try:
-        return operator.index(size)
+        size = operator.index(size)
     except TypeError:
         raise InvariantViolationError(f"{what} must be a whole number, got {shown(size)}") from None
+    if least is not None and size < least:
+        got = repr(size) if size.bit_length() <= 128 else _about(size)  # 128 bits: 39 digits
+        error = InvalidDegreeError if least else InvariantViolationError
+        raise error(f"{what} must be at least {least}, got {got}")
+    return size
 
 
 def of_kind(what: str, value: object, kind: type) -> None:
@@ -189,11 +200,11 @@ def decimal(what: str, text: str) -> int:
         raise InvariantViolationError(f"{what} has {size} digits, too many to read") from None
 
 
-def refuse_past(row: str, size: object) -> int:
-    """The size as an int, refused if it is not a whole number or lies past
-    the row's ceiling; the ceiling's message never renders the size."""
+def refuse_past(row: str, size: object, least: int | None = None) -> int:
+    """The size as ``whole`` reads it, floor included, under the row's request,
+    refused past the row's ceiling by a message that never renders the size."""
     ceiling = CEILINGS[row]
-    size = whole(ceiling.request, size)
+    size = whole(ceiling.request, size, least)
     if size > ceiling.limit:
         raise EnumerationTooLargeError(
             f"{ceiling.request} is capped at {ceiling.limit}; {ceiling.fallback} still works"

@@ -58,17 +58,9 @@ _set_antecedens = TreeCoordinate.antecedens.__set__
 _set_sequens = TreeCoordinate.sequens.__set__
 
 
-def _check_gradus(gradus: int, request: str) -> int:
-    """The gradus as an int, refused past the request's row or below 0."""
-    gradus = refuse_past(request, gradus)
-    if gradus < 0:
-        raise InvariantViolationError("gradus starts at 0, the subject person")
-    return gradus
-
-
 def personae_count(gradus: int) -> int:
     """Persons at the given degree: 2^n * (n + 1), exactly."""
-    gradus = _check_gradus(gradus, "power-of-two count")
+    gradus = refuse_past("power-of-two count", gradus, 0)
     return 2**gradus * (gradus + 1)
 
 
@@ -95,4 +87,4 @@ def coordinates(gradus: int) -> list[TreeCoordinate]:
     whenever a < b and both occur.  The list length is personae_count(gradus),
     and the list is allocated once, at that length.
     """
-    return list(_Layout(_check_gradus(gradus, "coordinate listing")))
+    return list(_Layout(refuse_past("coordinate listing", gradus, 0)))

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import caput, genealogy, partitions, problems
 from ._value import Value
 from .caput import HeadMode
-from .errors import InvalidDegreeError, InvariantViolationError, refuse_past
+from .errors import CEILINGS, InvariantViolationError, refuse_past, whole
 
 __all__ = [
     "OracleReport",
@@ -96,9 +96,7 @@ class _Census(NamedTuple):
 
 def _census(n: int) -> _Census:
     # n is read before the cached walk, whose key must hash
-    n = refuse_past("S_n walk", n)
-    if n < 1:
-        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    n = refuse_past("S_n walk", n, 1)
     return _walk(n)
 
 
@@ -163,9 +161,7 @@ def count_caput_by_filter(n: int, head: frozenset[int], mode: HeadMode) -> int:
 
 def count_partitions_by_enumeration(n: int) -> int:
     """p(n) by walking every partition; no recurrence involved."""
-    n = refuse_past("partition walk", n)
-    if n < 0:
-        raise InvariantViolationError("partitions are defined for n >= 0")
+    n = refuse_past("partition walk", n, 0)
 
     def walk(remaining: int, cap: int) -> int:
         if remaining == 0:
@@ -186,9 +182,8 @@ def count_two_part_by_enumeration(n: int) -> int:
 
 def count_derangements_by_filter(m: int) -> int:
     """Permutations of m points without fixed points, read off the census."""
-    m = refuse_past("S_n walk", m)
-    if m < 0:
-        raise InvariantViolationError("derangements are defined for m >= 0")
+    # m is read in the words of caput.derangements, then refused past the walk
+    m = refuse_past("S_n walk", whole(CEILINGS["derangement count"].request, m, 0))
     if m == 0:
         return 1
     return _census(m).fixed[0]
@@ -370,9 +365,7 @@ def verify_all(max_n: int) -> list[OracleReport]:
     Failures are reported, never raised; max_n = 0 degenerates to an all-pass
     run over empty ranges.
     """
-    max_n = refuse_past("verify sweep", max_n)
-    if max_n < 0:
-        raise InvariantViolationError("max_n must be >= 0")
+    max_n = refuse_past("verify sweep", max_n, 0)
     reports = []
     for claim, label, top_of, check in _SUITES:
         top = top_of(max_n)

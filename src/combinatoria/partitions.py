@@ -152,9 +152,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     >>> [str(p) for p in enumerate_partitions(4)]
     ['4', '3,1', '2,2', '2,1,1', '1,1,1,1']
     """
-    n = refuse_past("partition listing", n)
-    if n < 0:
-        raise InvariantViolationError("partitions are defined for n >= 0")
+    n = refuse_past("partition listing", n, 0)
     return [Partition(parts) for parts in _descending_parts(n)]
 
 
@@ -164,9 +162,7 @@ def count_partitions(n: int) -> int:
     Euler's pentagonal recurrence, filled bottom-up in a table local to the
     call, so nothing outlives it.
     """
-    n = refuse_past("partition count", n)
-    if n < 0:
-        raise InvariantViolationError("partitions are defined for n >= 0")
+    n = refuse_past("partition count", n, 0)
     table = [1]
     for m in range(1, n + 1):
         acc = 0
@@ -257,8 +253,6 @@ def cycle_types_of(n: int) -> Iterator[CycleType]:
     >>> [t.alpha for t in cycle_types_of(4)]
     [(0, 0, 0, 1), (1, 0, 1, 0), (0, 2, 0, 0), (2, 1, 0, 0), (4, 0, 0, 0)]
     """
-    n = refuse_past("partition listing", n)
-    if n < 1:
-        raise InvariantViolationError("S_n needs n >= 1")
+    n = refuse_past("partition listing", n, 1)
     # each walked alpha is a partition of n: it weighs up to n
     return (_trusted_cycle_type(n, alpha) for alpha in _descending_alphas(n))

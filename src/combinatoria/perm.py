@@ -210,9 +210,7 @@ class CycleType(Value):
     alpha: tuple[int, ...]
 
     def __init__(self, degree: int, alpha: Iterable[int]) -> None:
-        degree = whole("the degree of a cycle type", degree)
-        if degree < 1:
-            raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+        degree = whole("the degree of a cycle type", degree, 1)
         alpha = wholes("the counts of a cycle type", alpha)
         if len(alpha) != degree or min(alpha) < 0:
             raise InvariantViolationError(
@@ -290,9 +288,7 @@ def identity(n: int) -> Permutation:
     >>> str(identity(3))
     '[1,2,3]'
     """
-    n = refuse_past("permutation degree", n)
-    if n < 1:
-        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    n = refuse_past("permutation degree", n, 1)
     return _trusted(tuple(range(1, n + 1)))
 
 
@@ -379,9 +375,7 @@ def from_cycles(cycles: Iterable[Cycle | Sequence[int]]) -> Permutation:
         raise InvalidDegreeError("cannot infer a degree from an empty cycle list")
     if len(set(mentioned)) != len(mentioned):
         raise InvariantViolationError("cycles are not disjoint")
-    n = refuse_past("cycle degree", max(mentioned))
-    if n < 1:
-        raise InvalidDegreeError("degree 0 is not admitted; degrees start at 1")
+    n = refuse_past("cycle degree", max(mentioned), 1)
     if min(mentioned) < 1:
         # name the first point listed below 1, not the least
         low = next(x for x in mentioned if x < 1)

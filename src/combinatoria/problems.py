@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from ._value import Value
 from .caput import CaputSpec, _factorial, _images, count_caput, enumerate_caput
-from .errors import InvalidDegreeError, InvariantViolationError, refuse_past, shown, whole
+from .errors import InvariantViolationError, refuse_past, shown, whole
 from .perm import Permutation, _trusted
 
 __all__ = [
@@ -76,10 +76,8 @@ def complexions(n: int, k: int) -> int:
 def _binomial_sizes(n: int, k: int) -> tuple[int, int]:
     """n and k as C(n, k) reads them: whole, not negative, and n within the
     binomial row unless k > n, where the count is 0."""
-    n = whole("the n of a binomial count C(n, k)", n)
-    k = whole("the k of a binomial count C(n, k)", k)
-    if n < 0 or k < 0:
-        raise InvariantViolationError("complexions need n >= 0 and k >= 0")
+    n = whole("the n of a binomial count C(n, k)", n, 0)
+    k = whole("the k of a binomial count C(n, k)", k, 0)
     if k <= n:
         refuse_past("binomial count", n)
     return n, k
@@ -91,15 +89,7 @@ def complexiones_simpliciter(n: int) -> int:
     The count traditionally starts at the unions, so the empty sub-whole is
     excluded.
     """
-    return 2 ** _parts_of_whole(n) - 1
-
-
-def _parts_of_whole(n: int) -> int:
-    """n as 2^n - 1 reads it: a whole number from 1 up to the power-of-two row."""
-    n = refuse_past("power-of-two count", n)
-    if n < 1:
-        raise InvalidDegreeError("a whole needs at least one part")
-    return n
+    return 2 ** refuse_past("power-of-two count", n, 1) - 1
 
 
 def variations_of_order(n: int) -> int:
@@ -121,9 +111,7 @@ def vicinity_variations(n: int) -> int:
 def _arranged(n: int, what: str, pinned: int) -> int:
     """n as the count of ``what`` reads it: a whole number of at least 1
     whose n - pinned free things lie within the factorial row."""
-    n = whole(f"the n of {what}", n)
-    if n < 1:
-        raise InvalidDegreeError(f"{what} need n >= 1")
+    n = whole(f"the n of {what}", n, 1)
     refuse_past("factorial count", n - pinned)
     return n
 
@@ -148,9 +136,7 @@ def vicinity_classes(n: int) -> list[Permutation]:
     The representatives are the listing of the monadic head at position 1,
     loose mode: they start with point 1 and come out in lexicographic order.
     """
-    n = refuse_past("vicinity listing", n)
-    if n < 1:
-        raise InvalidDegreeError("vicinity classes need n >= 1")
+    n = refuse_past("vicinity listing", n, 1)
     return list(enumerate_caput(CaputSpec(n, _HEADS[5])))
 
 
@@ -272,7 +258,8 @@ _PROBLEMS = {
         lambda n, k: complexiones_simpliciter(n),
         # every non-empty complexion, exponent by exponent
         lambda n, k: itertools.chain.from_iterable(
-            map(frozenset, _subsets(n, size)) for size in range(1, _parts_of_whole(n) + 1)
+            map(frozenset, _subsets(n, size))
+            for size in range(1, refuse_past("power-of-two count", n, 1) + 1)
         ),
         None,
     ),

@@ -13,6 +13,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections.abc import Iterator
@@ -550,7 +551,7 @@ EDGE_REFUSALS = {
     "CycleType degree 0": (
         lambda: perm.CycleType(0, ()),
         InvalidDegreeError,
-        "degree 0 is not admitted; degrees start at 1",
+        "the degree of a cycle type must be at least 1, got 0",
     ),
     "parse_one_line no brackets": (
         lambda: perm.parse_one_line("1,2"),
@@ -563,20 +564,88 @@ EDGE_REFUSALS = {
     "cycle_type_census 0": (
         lambda: oracle.cycle_type_census(0),
         InvalidDegreeError,
-        "degree 0 is not admitted; degrees start at 1",
+        "the degree of a walk of S_n must be at least 1, got 0",
     ),
     "count_partitions_by_enumeration -1": (
         lambda: oracle.count_partitions_by_enumeration(-1),
         InvariantViolationError,
-        "partitions are defined for n >= 0",
+        "the n of a partition walk must be at least 0, got -1",
     ),
     "vicinity_classes 0": (
-        lambda: problems.vicinity_classes(0), InvalidDegreeError, "vicinity classes need n >= 1"
+        lambda: problems.vicinity_classes(0),
+        InvalidDegreeError,
+        "the n of a vicinity class listing must be at least 1, got 0",
     ),
     "derangements_by_inclusion_exclusion -1": (
         lambda: caput.derangements_by_inclusion_exclusion(-1),
         InvariantViolationError,
-        "derangements are defined for m >= 0",
+        "the m of an inclusion-exclusion derangement sum must be at least 0, got -1",
+    ),
+    # every other size read below its floor, in the words of its reader
+    "CaputSpec degree 0": (
+        lambda: CaputSpec(0), InvalidDegreeError, "the degree of a head must be at least 1, got 0"
+    ),
+    "identity 0": (
+        lambda: perm.identity(0),
+        InvalidDegreeError,
+        "the degree of a permutation must be at least 1, got 0",
+    ),
+    "enumerate_partitions -1": (
+        lambda: partitions.enumerate_partitions(-1),
+        InvariantViolationError,
+        "the n of a partition listing must be at least 0, got -1",
+    ),
+    "count_partitions -1": (
+        lambda: partitions.count_partitions(-1),
+        InvariantViolationError,
+        "the n of a partition count must be at least 0, got -1",
+    ),
+    "cycle_types_of 0": (
+        lambda: partitions.cycle_types_of(0),
+        InvalidDegreeError,
+        "the n of a partition listing must be at least 1, got 0",
+    ),
+    "complexions n -1": (
+        lambda: problems.complexions(-1, 2),
+        InvariantViolationError,
+        "the n of a binomial count C(n, k) must be at least 0, got -1",
+    ),
+    "complexions k -1": (
+        lambda: problems.complexions(3, -1),
+        InvariantViolationError,
+        "the k of a binomial count C(n, k) must be at least 0, got -1",
+    ),
+    "complexiones_simpliciter 0": (
+        lambda: problems.complexiones_simpliciter(0),
+        InvalidDegreeError,
+        "the n of a power-of-two count 2^n must be at least 1, got 0",
+    ),
+    "variations_of_order 0": (
+        lambda: problems.variations_of_order(0),
+        InvalidDegreeError,
+        "the n of variations of order must be at least 1, got 0",
+    ),
+    "vicinity_variations 0": (
+        lambda: problems.vicinity_variations(0),
+        InvalidDegreeError,
+        "the n of vicinity variations must be at least 1, got 0",
+    ),
+    "verify_all -1": (
+        lambda: oracle.verify_all(-1),
+        InvariantViolationError,
+        "the max_n of a verification sweep must be at least 0, got -1",
+    ),
+    "identity -10**5000": (
+        lambda: perm.identity(-HUGE),
+        InvalidDegreeError,
+        "the degree of a permutation must be at least 1, got <an int of about 5001 digits>",
+    ),
+    "count_partitions -10**4000": (
+        # a size below its floor is given by its digit count past 39 digits,
+        # though repr could print it
+        lambda: partitions.count_partitions(-(10**4000)),
+        InvariantViolationError,
+        "the n of a partition count must be at least 0, got <an int of about 4001 digits>",
     ),
 }
 
@@ -696,18 +765,44 @@ def _size_parameters():
                     yield pytest.param(function, parameters, size, id=f"{name}.{size}")
 
 
-@pytest.mark.parametrize("bad", ["3", 2.5])
-@pytest.mark.parametrize("function, parameters, size", _size_parameters())
-def test_every_size_parameter_is_read_as_a_whole_number(function, parameters, size, bad):
+def _call(function, parameters, size, value):
+    """Call with ``value`` as the size and a valid value for every other
+    argument a size check needs, consuming a returned generator."""
     arguments = {
-        name: bad if name == size else VALID_ARGUMENTS[name]
+        name: value if name == size else VALID_ARGUMENTS[name]
         for name, parameter in parameters.items()
         if name == size or parameter.default is inspect.Parameter.empty or name in SIZE_NAMES
     }
+    result = function(**arguments)
+    if isinstance(result, Iterator):
+        list(result)
+
+
+@pytest.mark.parametrize("bad", ["3", 2.5])
+@pytest.mark.parametrize("function, parameters, size", _size_parameters())
+def test_every_size_parameter_is_read_as_a_whole_number(function, parameters, size, bad):
     with pytest.raises(InvariantViolationError, match="must be a whole number"):
-        result = function(**arguments)
-        if isinstance(result, Iterator):
-            list(result)
+        _call(function, parameters, size, bad)
+
+
+# sizes at and below every floor, and past every ceiling in both directions
+EDGE_SIZES = {"-1": -1, "0": 0, "1": 1, "True": True, "10**5000": HUGE, "-10**5000": -HUGE}
+
+
+@pytest.mark.parametrize("edge", EDGE_SIZES)
+@pytest.mark.parametrize("function, parameters, size", _size_parameters())
+def test_every_size_parameter_returns_or_is_refused_in_one_short_message(
+    function, parameters, size, edge
+):
+    try:
+        _call(function, parameters, size, EDGE_SIZES[edge])
+    except CombinatoriaError as refused:
+        message = str(refused)
+        assert len(message) < 200, message
+        floor = re.search(r"must be at least ([01]), got ", message)
+        if floor:
+            least = InvalidDegreeError if floor[1] == "1" else InvariantViolationError
+            assert type(refused) is least, message
 
 
 def test_the_size_exemptions_name_real_parameters():

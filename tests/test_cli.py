@@ -318,6 +318,77 @@ class TestUsageErrors:
         _, payload, _ = run_json(capsys, "perm", "cycles", "(1٣2)")
         assert payload["result"]["result"]["one_line"] == "[3,1,2]"
 
+    # each numeric option is decimal digits alone, or a minus sign before them
+    @pytest.mark.parametrize("argv, line", [
+        (
+            ["partitions", "count", "--n", "1_0"],
+            "combinatoria partitions count: error: argument --n: invalid int value: '1_0'",
+        ),
+        (
+            ["partitions", "count", "--n", "+5"],
+            "combinatoria partitions count: error: argument --n: invalid int value: '+5'",
+        ),
+        (
+            ["partitions", "count", "--n", "9" * 5000],
+            "combinatoria partitions count: error: argument --n: invalid int value: "
+            "'99999999999999999999999999999999'… (5000 characters)",
+        ),
+        (
+            ["genealogy", "personae", "--gradus", "-" + "9" * 5000],
+            "combinatoria genealogy personae: error: argument --gradus: invalid int value: "
+            "'-9999999999999999999999999999999'… (5001 characters)",
+        ),
+        (
+            ["problems", "solve", "--id", "1_0", "--n", "4"],
+            "combinatoria problems solve: error: argument --id: "
+            "problem id must be 1..12 or 'simpliciter', got '1_0'",
+        ),
+        (
+            ["problems", "solve", "--id", " +3", "--n", "4"],
+            "combinatoria problems solve: error: argument --id: "
+            "problem id must be 1..12 or 'simpliciter', got ' +3'",
+        ),
+        (
+            ["problems", "reduce", "--id", "x" * 300, "--n", "4"],
+            "combinatoria problems reduce: error: argument --id: problem id must be "
+            "1..12 or 'simpliciter', got 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx'… (300 characters)",
+        ),
+        (
+            ["problems", "solve", "--id", "4", "--n", "4", "--k", "1_0"],
+            "combinatoria problems solve: error: argument --k: invalid int value: '1_0'",
+        ),
+        (
+            ["verify", "--max-n", "1_0"],
+            "combinatoria verify: error: argument --max-n: invalid int value: '1_0'",
+        ),
+    ])
+    def test_a_number_that_is_not_decimal_digits_is_a_usage_error(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == line
+        assert len(line) < 200
+
+    # a negative option is passed on, and refused below the library's floor
+    @pytest.mark.parametrize("argv, line", [
+        (
+            ["partitions", "count", "--n", "-1"],
+            "the n of a partition count must be at least 0, got -1",
+        ),
+        (["classes", "--n", "0"], "the n of a partition listing must be at least 1, got 0"),
+        (["caput", "enumerate", "--n", "-3"], "the degree of a head must be at least 1, got -3"),
+        (
+            ["genealogy", "coords", "--gradus", " -2 "],
+            "the gradus of a coordinate listing must be at least 0, got -2",
+        ),
+        (
+            ["partitions", "list", "--n", "-1" + "0" * 4000],
+            "the n of a partition listing must be at least 0, got <an int of about 4001 digits>",
+        ),
+    ])
+    def test_a_size_below_its_floor_is_refused_in_one_line(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"combinatoria: error: {line}\n")
+
     def test_count_past_the_counting_ceiling_is_refused(self, capsys):
         code, out, err = run(
             capsys, "partitions", "count", "--n", "99999999999999999999999999999999999"
@@ -406,12 +477,17 @@ class TestEnvironmentDefault:
 # jump past the ceiling that refuses them, so no example starts a huge
 # enumeration.
 
+# text that int() reads but a numeric option refuses, and text past the
+# int-to-str digit limit
+_NOT_DECIMAL = ["1_0", "+3", "9" * 5000]
+
+
 def _size(top: int, refused_past: int | None = None):
     """Integer text in -2..top or past the ceiling, or text that is no integer."""
     drawn = st.integers(min_value=-2, max_value=top)
     if refused_past is not None:
         drawn |= st.integers(min_value=refused_past + 1, max_value=10**40)
-    return drawn.map(str) | st.sampled_from(["", "x", "1.5", "0x10"])
+    return drawn.map(str) | st.sampled_from(["", "x", "1.5", "0x10", *_NOT_DECIMAL])
 
 
 _PERM_TEXT = (
@@ -440,7 +516,7 @@ _HEAD_TEXT = (
 _MODE = st.sampled_from(["loose", "exact", "setwise", "bogus"])
 
 _PROBLEM_ID = st.sampled_from(
-    [str(i) for i in range(-1, 14)] + ["simpliciter", "SIMPLICITER", "nope", ""]
+    [str(i) for i in range(-1, 14)] + ["simpliciter", "SIMPLICITER", "nope", "", *_NOT_DECIMAL]
 )
 
 def _problem(op: str):
@@ -496,7 +572,8 @@ class TestArgvProperty:
         if code == 0 and fmt == "json":
             json.loads(out.getvalue())
         if code == 2:
-            assert err.getvalue()
+            # one error line, short however long the text drawn
+            assert 0 < len(err.getvalue().splitlines()[-1]) < 200, err.getvalue()
 
 
 # -- the CLI surface, pinned --------------------------------------------------------

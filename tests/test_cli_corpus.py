@@ -6,13 +6,22 @@ help text.  Each group of requests is reduced to one sha256 over the argv,
 exit code, stdout and stderr of each request, and compared with the digest
 captured from the CLI when each command still built both its JSON result and
 its table rows.  A mismatch names the group; comparing `_answer` of each of
-its requests on two checkouts finds the request.
+its requests on two checkouts finds the request.  Run as a script,
+
+    PYTHONPATH=src python tests/test_cli_corpus.py "caput count" verify
+
+writes `_answer` of every request of the named groups (every group if none is
+named) as JSON lines, the lines `group_digest` hashes, so the outputs of two
+checkouts compare with `diff`.
 """
 import contextlib
 import hashlib
 import io
 import itertools
 import json
+import os
+import sys
+from collections.abc import Iterator
 
 import pytest
 
@@ -128,10 +137,14 @@ def _answer(argv: list[str]) -> list:
     return [argv, code, out.getvalue(), err.getvalue()]
 
 
+def answer_lines(requests: list[list[str]]) -> Iterator[str]:
+    for argv in requests:
+        yield json.dumps(_answer(argv), ensure_ascii=False) + "\n"
+
+
 def group_digest(requests: list[list[str]]) -> str:
     digest = hashlib.sha256()
-    for argv in requests:
-        line = json.dumps(_answer(argv), ensure_ascii=False) + "\n"
+    for line in answer_lines(requests):
         digest.update(line.encode("utf-8"))
     return digest.hexdigest()
 
@@ -145,19 +158,19 @@ DIGESTS = {
     "perm compose": "972547f0bd025e1451ad2d6762352da60119ac64d74261ea76cbc98ef0cee75f",
     "perm inverse": "a76b33df71d3bd8640aed0af374551289367c5c2b12b2d7d4eedde612256e4e4",
     "perm cycles": "a9f8eca449d5957ed3936f21a0d3f9a590e5642c526550ec69251b9c659e4e66",
-    "partitions count": "f5a7c80fccc991b6a53943594adddbfc301f8dc320495e51b18a82c9fcb234cb",
-    "partitions list": "8f593f5898257c7a5235df05ce7b46006e60653c66dc0ca137da9d6e6634b924",
+    "partitions count": "38de03a4d87da54fee8c9e8048a67695ed765872fa3ca301b32387d4cc3a3053",
+    "partitions list": "27d0166a11b801e1ff120acd2c8a8f6c20766aaf6ad2572cc28f10a6b610f92b",
     "partitions two-part": "c57c4a47c05453fec2256d69206f31c1972b988ef736838152fcdbe14ee38b85",
-    "classes": "04ba4331cf35224a3bae06e6dd83378b63dc06668aa243ba43eb80fcd4948fc4",
+    "classes": "787e7e93c8f41a6b76d8559df43013acef10e0ab76c09cbd3e8b88d252fae387",
     "classes wide": "3bd6982833811a00146e72db34965dd75a5a271b9b2acaf5fe741e7270d1da5e",
-    "caput count": "a5b37925c3daa9321eb6cfd04cf5ceb95f563cb42bb07809aa6e91f638c399e3",
-    "caput enumerate": "40de222966d0d8e71628fa96ad58ae7e6f8d515eb61fff768a2bb7403d58ba10",
-    "problems solve": "4132262b2938ddf482bf910c8529761a013dc5d90539ce24ac8dc2531c7184b8",
-    "problems reduce": "bb864de3fdc37121917f4dbf4cfcf4ba21217fa9c052667e32608933257d603b",
-    "genealogy personae": "d3a2e1de2a053a44d4876d4c499c3edc07402391839add6bb418c84b3b30ca83",
-    "genealogy coords": "e1fe583b65e36e21cc0dfa44e6b5dc9b6d258afc12c0eed868afb1fae5b15ed0",
+    "caput count": "60d3ea8dda81d5d9f95c4c57cb289c61c57b9c7ce1dcec76e2f7ca71e1fbfc2c",
+    "caput enumerate": "1bfa267df215c9265b742d7b6a4cead77849549e1ddd14a1265ea16b1ca02a60",
+    "problems solve": "0ad111d9f975c39029572a169539d9459d9d66c8c431374367f3a3d3e659c58e",
+    "problems reduce": "41d892e9a81aa582cc675d697ca9fb96dae043f867c57bb3871952988efa3879",
+    "genealogy personae": "a9237a603f984956bced9c1e47abd2f7628c876f95296681d825189843690f38",
+    "genealogy coords": "210ca1a418504e46ef2bfa4dd0551dbfa34a94849e69297142e9be4d7d97e021",
     "genealogy discerptiones": "25702fc6ecc4ac30bf6839edaf9a74f2121ea59c5358bdc57aa06c9bcfb631d8",
-    "verify": "81f16deb2ebe474928646ccc3e212c16fd91a7c819bad77d8dcf6828d9016d39",
+    "verify": "1eb9843f6808aefa16106c93edc3c7adc1522fe2762a13d80dc048052fdeafde",
     "usage": "bfc61a426060a5b3f8a28bb6a97782328357a7f7a947996bb195435632046eea",
     "help": "8f0a74d8e3694e1dcc114d4b4d261db76c0e9beff6541fe63363cece775fdba7",
 }
@@ -193,3 +206,10 @@ def test_the_corpus_covers_every_leaf_in_every_format():
 @pytest.mark.parametrize("group", sorted(DIGESTS))
 def test_every_answer_matches_its_digest(fixed_terminal, group):
     assert group_digest(corpus()[group]) == DIGESTS[group]
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    groups = corpus()
+    for group in sys.argv[1:] or groups:
+        sys.stdout.writelines(answer_lines(groups[group]))

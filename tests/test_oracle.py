@@ -167,7 +167,8 @@ class TestFilterCounters:
 
     @pytest.mark.parametrize("count", [caput_mod.derangements, count_derangements_by_filter])
     def test_a_negative_m_is_refused_as_the_closed_form_refuses_it(self, count):
-        with pytest.raises(InvariantViolationError, match=r"^derangements are defined for m >= 0$"):
+        message = r"^the m of a derangement count D\(m\) must be at least 0, got -1$"
+        with pytest.raises(InvariantViolationError, match=message):
             count(-1)
 
 

@@ -218,7 +218,8 @@ class TestCycles:
 
     def test_from_cycles_refuses_degree_zero_before_reading_points(self):
         # the largest point is 0, so the degree is refused before -1 is named
-        with pytest.raises(InvalidDegreeError, match="^degree 0 is not admitted"):
+        message = "^the degree of a permutation from cycles must be at least 1, got 0$"
+        with pytest.raises(InvalidDegreeError, match=message):
             from_cycles([(0, -1)])
 
 
